@@ -40,16 +40,42 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
-// Shared RMAT core: one code path drives both the materializing and the
-// streaming entry points, so their RNG consumption (and thus the edge
-// sequence) cannot diverge. `emit` returns whether to keep generating.
-template <typename EmitFn>
-void RmatEdges(const RmatOptions& options, EmitFn&& emit) {
+// Validates `options` and returns the number of edges it asks for.
+uint64_t RmatEdgeCount(const RmatOptions& options) {
   CHAOS_CHECK_LE(options.scale, 40u);
+  for (const double p : {options.a, options.b, options.c}) {
+    // Also rejects NaN. Non-negative a, b, c keep the thresholds in
+    // RmatEdges ordered, which its quadrant decode relies on.
+    CHAOS_CHECK_MSG(p >= 0.0 && p <= 1.0, "RMAT quadrant probabilities must lie in [0, 1]");
+  }
   const double d = 1.0 - options.a - options.b - options.c;
   CHAOS_CHECK_MSG(d > 0.0, "RMAT quadrant probabilities must sum to < 1");
+  CHAOS_CHECK_MSG(options.edges_per_vertex <= (UINT64_MAX >> options.scale),
+                  "RMAT edge count 2^scale * edges_per_vertex overflows 64 bits");
+  return uint64_t{options.edges_per_vertex} << options.scale;
+}
+
+// The smallest 53-bit draw x whose NextDouble() value x * 2^-53 is >= t.
+// Both scalings by 2^53 are exact, so u < t holds exactly when
+// x < Threshold53(t).
+uint64_t Threshold53(double t) { return static_cast<uint64_t>(std::ceil(t * 0x1.0p53)); }
+
+// Edges generated per block. A block's raw ids prefetch their permutation
+// entries as they are drawn and are relabelled together afterwards, so the
+// random reads of a large permutation overlap instead of each stalling the
+// edge after it.
+constexpr uint64_t kRmatBlockEdges = 64;
+
+// Shared RMAT core: one code path drives both the materializing and the
+// streaming entry points, so their RNG consumption (and thus the edge
+// sequence) cannot diverge. `emit(edges, count)` receives the sequence in
+// order and returns whether to keep generating. Every level consumes one
+// Next(), and a weighted edge one more draw after its levels;
+// tests/graph_test.cc pins the resulting sequences by hash.
+template <typename EmitFn>
+void RmatEdges(const RmatOptions& options, EmitFn&& emit) {
+  const uint64_t m = RmatEdgeCount(options);
   const uint64_t n = 1ull << options.scale;
-  const uint64_t m = n * options.edges_per_vertex;
 
   Rng rng(options.seed);
   std::vector<uint32_t> perm;
@@ -58,31 +84,44 @@ void RmatEdges(const RmatOptions& options, EmitFn&& emit) {
     perm = rng.Permutation(static_cast<uint32_t>(n));
   }
 
+  // A level picks quadrant a, b, c or d as NextDouble() < a, < ab, < abc
+  // would, with the sums rounded to double as written here.
   const double ab = options.a + options.b;
   const double abc = ab + options.c;
-  for (uint64_t i = 0; i < m; ++i) {
-    uint64_t src = 0;
-    uint64_t dst = 0;
-    for (uint32_t level = 0; level < options.scale; ++level) {
-      const double u = rng.NextDouble();
-      src <<= 1;
-      dst <<= 1;
-      if (u < options.a) {
-        // top-left: no bits set
-      } else if (u < ab) {
-        dst |= 1;
-      } else if (u < abc) {
-        src |= 1;
-      } else {
-        src |= 1;
-        dst |= 1;
+  const uint64_t t_a = Threshold53(options.a);
+  const uint64_t t_ab = Threshold53(ab);
+  const uint64_t t_abc = Threshold53(abc);
+  Edge block[kRmatBlockEdges];
+  for (uint64_t begin = 0; begin < m; begin += kRmatBlockEdges) {
+    const uint64_t count = std::min(kRmatBlockEdges, m - begin);
+    for (uint64_t k = 0; k < count; ++k) {
+      // The number of thresholds a level's draw reaches is its quadrant
+      // q = 2 * src_bit + dst_bit (a -> 00, b -> 01, c -> 10, d -> 11), so
+      // src_bit = [x >= t_ab] and dst_bit = [x >= t_a] + [x >= t_abc] - src_bit.
+      // Summing both sides with place values gives dst = outer - src.
+      uint64_t src = 0;
+      uint64_t outer = 0;
+      for (uint32_t level = 0; level < options.scale; ++level) {
+        const uint64_t x = rng.Next() >> 11;
+        src = 2 * src + uint64_t{x >= t_ab};
+        outer = 2 * outer + uint64_t{x >= t_a} + uint64_t{x >= t_abc};
+      }
+      Edge& e = block[k];
+      e.src = src;
+      e.dst = outer - src;
+      e.weight = options.weighted ? RandomWeight(rng, 100.0) : 1.0f;
+      if (options.permute_ids) {
+        __builtin_prefetch(&perm[e.src]);
+        __builtin_prefetch(&perm[e.dst]);
       }
     }
-    Edge e;
-    e.src = options.permute_ids ? perm[src] : src;
-    e.dst = options.permute_ids ? perm[dst] : dst;
-    e.weight = options.weighted ? RandomWeight(rng, 100.0) : 1.0f;
-    if (!emit(e)) {
+    if (options.permute_ids) {
+      for (uint64_t k = 0; k < count; ++k) {
+        block[k].src = perm[block[k].src];
+        block[k].dst = perm[block[k].dst];
+      }
+    }
+    if (!emit(block, count)) {
       return;
     }
   }
@@ -92,11 +131,11 @@ void RmatEdges(const RmatOptions& options, EmitFn&& emit) {
 
 InputGraph GenerateRmat(const RmatOptions& options) {
   InputGraph g;
+  g.edges.reserve(RmatEdgeCount(options));
   g.num_vertices = 1ull << options.scale;
   g.weighted = options.weighted;
-  g.edges.reserve(g.num_vertices * options.edges_per_vertex);
-  RmatEdges(options, [&g](const Edge& e) {
-    g.edges.push_back(e);
+  RmatEdges(options, [&g](const Edge* edges, uint64_t count) {
+    g.edges.insert(g.edges.end(), edges, edges + count);
     return true;
   });
   return g;
@@ -108,11 +147,16 @@ void StreamRmat(const RmatOptions& options, uint64_t batch_edges,
   std::vector<Edge> batch;
   batch.reserve(batch_edges);
   bool more = true;
-  RmatEdges(options, [&](const Edge& e) {
-    batch.push_back(e);
-    if (batch.size() >= batch_edges) {
-      more = sink(batch);
-      batch.clear();
+  RmatEdges(options, [&](const Edge* edges, uint64_t count) {
+    while (more && count > 0) {
+      const uint64_t take = std::min(count, batch_edges - batch.size());
+      batch.insert(batch.end(), edges, edges + take);
+      edges += take;
+      count -= take;
+      if (batch.size() == batch_edges) {
+        more = sink(batch);
+        batch.clear();
+      }
     }
     return more;
   });

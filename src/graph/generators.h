@@ -17,6 +17,9 @@
 
 namespace chaos {
 
+// Generation CHECK-fails unless a, b and c each lie in [0, 1] with
+// a + b + c < 1, scale <= 40 (<= 32 with permute_ids), and the edge count
+// edges_per_vertex * 2^scale fits in 64 bits.
 struct RmatOptions {
   uint32_t scale = 16;          // 2^scale vertices
   uint32_t edges_per_vertex = 16;
@@ -30,6 +33,11 @@ struct RmatOptions {
   uint64_t seed = 1;
 };
 
+// Each edge descends `scale` levels of the adjacency matrix, one Next()
+// draw per level picking a quadrant as NextDouble() < a, < a+b, < a+b+c
+// would (compared exactly in integers, without branches); a weighted edge
+// then draws its weight. The sequence is pinned by hash in
+// tests/graph_test.cc.
 InputGraph GenerateRmat(const RmatOptions& options);
 
 // Streams the exact edge sequence GenerateRmat(options) produces — same RNG

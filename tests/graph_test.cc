@@ -1,7 +1,10 @@
 // Tests for graph types, generators, and the reference algorithm library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -443,6 +446,117 @@ TEST(StreamRmatTest, SinkCanStopEarly) {
     ASSERT_EQ(streamed[i].src, golden.edges[i].src);
     ASSERT_EQ(streamed[i].dst, golden.edges[i].dst);
   }
+}
+
+// FNV-1a over each edge's src, dst, weight bits and flags, in order.
+uint64_t HashEdges(const std::vector<Edge>& edges) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto feed = [&h](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  };
+  for (const Edge& e : edges) {
+    uint32_t weight_bits;
+    std::memcpy(&weight_bits, &e.weight, sizeof(weight_bits));
+    feed(&e.src, sizeof(e.src));
+    feed(&e.dst, sizeof(e.dst));
+    feed(&weight_bits, sizeof(weight_bits));
+    feed(&e.flags, sizeof(e.flags));
+  }
+  return h;
+}
+
+// Golden hashes of the RMAT edge sequence, recorded from a reference walk
+// that picks each level's quadrant by NextDouble() < a, < a+b, < a+b+c with
+// if/else. The stream-vs-materialized tests above cannot see a change that
+// moves both entry points together; these can. The .5/.25/.125 setting puts
+// every threshold exactly on the 2^-53 grid of NextDouble().
+TEST(RmatTest, GoldenSequenceHashes) {
+  struct Case {
+    double a, b, c;
+    bool weighted, permute_ids;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {0.57, 0.19, 0.19, false, false, 0x00084a90e653efdcull},
+      {0.57, 0.19, 0.19, false, true, 0x8b9d566142a4d05dull},
+      {0.57, 0.19, 0.19, true, false, 0x583d4839c730418cull},
+      {0.57, 0.19, 0.19, true, true, 0xca8c05dca0e750bdull},
+      {0.5, 0.25, 0.125, false, false, 0xfd11a8ebca6ff70cull},
+      {0.5, 0.25, 0.125, false, true, 0x70ab7da86c499060ull},
+      {0.5, 0.25, 0.125, true, false, 0xe70c44244d46da34ull},
+      {0.5, 0.25, 0.125, true, true, 0x283fa88d29393f5bull},
+      {0.45, 0.15, 0.15, false, false, 0xb03a36be2479aee1ull},
+      {0.45, 0.15, 0.15, false, true, 0x3fa00c746b306560ull},
+      {0.45, 0.15, 0.15, true, false, 0x6af1c87a6b62a9eeull},
+      {0.45, 0.15, 0.15, true, true, 0xa5b54258f430e2d1ull},
+  };
+  for (const Case& c : cases) {
+    RmatOptions opt;
+    opt.scale = 10;
+    opt.a = c.a;
+    opt.b = c.b;
+    opt.c = c.c;
+    opt.weighted = c.weighted;
+    opt.permute_ids = c.permute_ids;
+    opt.seed = 7;
+    const InputGraph g = GenerateRmat(opt);
+    ASSERT_EQ(g.edges.size(), 16384u);
+    EXPECT_EQ(HashEdges(g.edges), c.hash)
+        << "a=" << c.a << " b=" << c.b << " c=" << c.c << " weighted=" << c.weighted
+        << " permute_ids=" << c.permute_ids;
+  }
+}
+
+// A scale-33 prefix: ids above 2^32 catch any 32-bit truncation of the
+// per-edge id accumulators.
+TEST(StreamRmatTest, GoldenScale33Prefix) {
+  for (const bool weighted : {false, true}) {
+    RmatOptions opt;
+    opt.scale = 33;
+    opt.weighted = weighted;
+    opt.permute_ids = false;
+    opt.seed = 7;
+    std::vector<Edge> prefix;
+    StreamRmat(opt, 1000, [&](const std::vector<Edge>& edges) {
+      prefix = edges;
+      return false;
+    });
+    ASSERT_EQ(prefix.size(), 1000u);
+    uint64_t max_id = 0;
+    for (const Edge& e : prefix) {
+      max_id = std::max({max_id, e.src, e.dst});
+    }
+    EXPECT_GT(max_id, 1ull << 32);
+    EXPECT_EQ(HashEdges(prefix), weighted ? 0xb448e3e893df14daull : 0x35eff47298cc64b6ull);
+  }
+}
+
+TEST(RmatDeathTest, RejectsQuadrantProbabilitiesOutsideUnitInterval) {
+  for (const double bad : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    RmatOptions opt;
+    opt.scale = 4;
+    opt.b = bad;
+    EXPECT_DEATH(GenerateRmat(opt), "must lie in \\[0, 1\\]") << "b=" << bad;
+  }
+  RmatOptions opt;
+  opt.scale = 4;
+  opt.a = -0.2;  // sums to < 1, so only the range check catches it
+  EXPECT_DEATH(StreamRmat(opt, 16, [](const std::vector<Edge>&) { return true; }),
+               "must lie in");
+}
+
+TEST(RmatDeathTest, RejectsEdgeCountOverflow) {
+  RmatOptions opt;
+  opt.scale = 40;
+  opt.edges_per_vertex = 1u << 24;  // 2^64 edges
+  opt.permute_ids = false;
+  EXPECT_DEATH(GenerateRmat(opt), "overflows 64 bits");
+  EXPECT_DEATH(StreamRmat(opt, 16, [](const std::vector<Edge>&) { return true; }),
+               "overflows 64 bits");
 }
 
 }  // namespace
