@@ -72,9 +72,20 @@ AlgoResult ToAlgoResult(RunResult<P>&& run) {
   return result;
 }
 
+// Runs `prog` over `input` as `spec` asks: through the recovery driver when
+// spec.recover, else as one plain cluster run that reports a crash as is.
+// `attach` binds an evolving job's mutation feed to every cluster built.
 template <GasProgram P>
-AlgoResult RunChaosWith(P prog, const InputGraph& input, const ClusterConfig& config) {
-  Cluster<P> cluster(config, std::move(prog));
+AlgoResult RunWith(const JobSpec& spec, P prog, const InputGraph& input,
+                   const AttachHook<P>& attach, RecoveryReport* report) {
+  if (spec.recover) {
+    return ToAlgoResult(
+        RunWithRecovery(spec.cluster, std::move(prog), input, spec.recovery, report, attach));
+  }
+  Cluster<P> cluster(spec.cluster, std::move(prog));
+  if (attach) {
+    attach(cluster, 0);
+  }
   return ToAlgoResult(cluster.Run(input));
 }
 
@@ -175,20 +186,20 @@ JobResult RunJob(const JobSpec& spec) {
           ? DispatchEvolving(spec.algorithm, spec.params,
                              [&](auto prog) {
                                // spec.input is RAW here; the controller
-                               // prepares it per epoch. The recovery-capable
-                               // driver degenerates to a plain run when no
-                               // fault fires.
-                               return ToAlgoResult(RunEvolvingWithRecovery(
-                                   spec.cluster, std::move(prog), *spec.input, spec.algorithm,
-                                   spec.mutations, spec.recover ? spec.recovery : RecoveryOptions{},
-                                   &result.recovery));
+                               // prepares it per epoch.
+                               using P = decltype(prog);
+                               EvolvingController<P> ctrl(prog, spec.algorithm, *spec.input,
+                                                          spec.mutations);
+                               return RunWith<P>(
+                                   spec, std::move(prog), ctrl.initial_prepared(),
+                                   [&ctrl](Cluster<P>& cluster, uint64_t applied_epochs) {
+                                     ctrl.Attach(cluster, applied_epochs);
+                                   },
+                                   &result.recovery);
                              })
           : DispatchAlgorithm(spec.algorithm, spec.params, [&](auto prog) {
-              if (spec.recover) {
-                return ToAlgoResult(RunWithRecovery(spec.cluster, std::move(prog), *spec.input,
-                                                    spec.recovery, &result.recovery));
-              }
-              return RunChaosWith(std::move(prog), *spec.input, spec.cluster);
+              return RunWith<decltype(prog)>(spec, std::move(prog), *spec.input, {},
+                                             &result.recovery);
             });
   static_cast<AlgoResult&>(result) = std::move(algo);
   // Synthesize the trivial schedule of an isolated run: dispatched on
@@ -224,7 +235,7 @@ std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec) {
           auto exec = std::make_unique<TypedJobExecution<P, FinalizeToAlgoResult>>(
               std::move(prepared_spec), std::move(prog), FinalizeToAlgoResult{});
           exec->set_attach_hook([ctrl](Cluster<P>& cluster, uint64_t applied_epochs) {
-            ctrl->Attach(&cluster, applied_epochs);
+            ctrl->Attach(cluster, applied_epochs);
           });
           return exec;
         });
@@ -257,25 +268,6 @@ TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfi
     }
   }
   return out;
-}
-
-AlgoResult RunChaosAlgorithm(const std::string& name, const InputGraph& prepared,
-                             const ClusterConfig& config, const AlgoParams& params) {
-  return RunJob(MakeJob(name, prepared, config, params));
-}
-
-AlgoResult RunChaosAlgorithmWithRecovery(const std::string& name, const InputGraph& prepared,
-                                         const ClusterConfig& config, const AlgoParams& params,
-                                         const RecoveryOptions& recovery,
-                                         RecoveryReport* report) {
-  JobSpec spec = MakeJob(name, prepared, config, params);
-  spec.recover = true;
-  spec.recovery = recovery;
-  JobResult result = RunJob(spec);
-  if (report != nullptr) {
-    *report = result.recovery;
-  }
-  return std::move(static_cast<AlgoResult&>(result));
 }
 
 XStreamRunResult RunXStreamAlgorithm(const std::string& name, const InputGraph& prepared,

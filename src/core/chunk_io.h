@@ -11,6 +11,7 @@
 #include "core/buffer_pool.h"
 #include "core/config.h"
 #include "core/metrics.h"
+#include "graph/types.h"
 #include "net/network.h"
 #include "sim/sync.h"
 #include "storage/chunk.h"
@@ -26,6 +27,16 @@ struct GraphMeta {
   bool weighted = false;
   uint64_t edge_wire_bytes = 8;
   uint64_t vertex_id_wire_bytes = 4;
+
+  // The facts of a graph with this shape, in InputGraph's wire formats.
+  static GraphMeta For(uint64_t num_vertices, bool weighted) {
+    InputGraph shape;  // wire-format facts only; no edges
+    shape.num_vertices = num_vertices;
+    shape.weighted = weighted;
+    return GraphMeta{num_vertices, weighted, shape.edge_wire_bytes(),
+                     shape.vertex_id_wire_bytes()};
+  }
+  static GraphMeta For(const InputGraph& g) { return For(g.num_vertices, g.weighted); }
 };
 
 // Everything a computation engine needs to talk to the rest of the cluster.

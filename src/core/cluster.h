@@ -87,43 +87,25 @@ class Cluster {
   }
 
   // Runs from an input edge list (includes pre-processing, as all paper
-  // results do).
+  // results do): RunStreaming over one batch, the whole list.
   RunResult<P> Run(const InputGraph& input) {
-    CHAOS_CHECK(!config_.resume);
-    GraphMeta meta;
-    meta.num_vertices = input.num_vertices;
-    meta.weighted = input.weighted;
-    meta.edge_wire_bytes = input.edge_wire_bytes();
-    meta.vertex_id_wire_bytes = input.vertex_id_wire_bytes();
-    IngestInput(input);
-    return Execute(meta, prog_.InitGlobal(input.num_vertices));
+    return RunStreaming(input.num_vertices, input.weighted,
+                        [&](const BatchSink& sink) { sink(input.edges); });
   }
 
-  // Streaming variant of Run() for graphs too large to materialize as one
-  // InputGraph: `next_batch` fills the (cleared) vector with the next run
-  // of edges and returns false when the stream is exhausted (a final
-  // partial batch with `true` then `false`-empty is also fine). Host
-  // memory holds one batch plus the simulated kInput chunks — never the
-  // full edge list. Chunk boundaries, placement and results are identical
-  // to Run() on the concatenated stream.
   // Streaming variant of Run(): the edge list arrives in generator-supplied
   // batches instead of a materialized InputGraph, so host memory is bounded
   // by one batch plus the simulated chunks. `feed` is called once with a
-  // sink; it pushes every batch through the sink and returns. Chunking and
-  // placement are identical to Run() on the concatenated batches.
+  // sink; it pushes every batch (empty ones are fine) through the sink and
+  // returns. Chunking and placement are identical to Run() on the
+  // concatenated batches.
   using BatchSink = std::function<void(const std::vector<Edge>&)>;
   RunResult<P> RunStreaming(uint64_t num_vertices, bool weighted,
                             const std::function<void(const BatchSink&)>& feed) {
     CHAOS_CHECK(!config_.resume);
-    InputGraph shape;  // wire-format facts only; edges stay in the stream
-    shape.num_vertices = num_vertices;
-    shape.weighted = weighted;
-    GraphMeta meta;
-    meta.num_vertices = num_vertices;
-    meta.weighted = weighted;
-    meta.edge_wire_bytes = shape.edge_wire_bytes();
-    meta.vertex_id_wire_bytes = shape.vertex_id_wire_bytes();
-    IngestInputStream(num_vertices, meta.edge_wire_bytes, feed);
+    const GraphMeta meta = GraphMeta::For(num_vertices, weighted);
+    PreparePartitioning(num_vertices);
+    IngestInput(meta.edge_wire_bytes, feed);
     return Execute(meta, prog_.InitGlobal(num_vertices));
   }
 
@@ -155,6 +137,34 @@ class Cluster {
     return *parts_;
   }
 
+  // Restores the last committed checkpoint of `aborted_run` — a run of
+  // `donor` that a machine failure or a preemption cut short — into this
+  // resume-configured cluster: the edge side live at that commit (kEdgesB
+  // after an odd number of mutation epochs; a crash mid-apply leaves
+  // partial chunks on the other side, never imported) becomes kEdges, the
+  // committed checkpoint side the vertex sets, and the commit-time update
+  // snapshot (gather emissions the resumed scatter cannot regenerate) the
+  // update kind the first resumed gather scans. Same-size clusters copy the
+  // durable sets position-for-position (chunk homes are machine-count
+  // stable); rescaled ones re-chunk and re-bin them. Follow with
+  // Resume(meta, aborted_run.checkpoint_global).
+  void RestoreFromCheckpoint(Cluster<P>& donor, const RunResult<P>& aborted_run,
+                             const GraphMeta& meta) {
+    CHAOS_CHECK(aborted_run.has_checkpoint);
+    CHAOS_CHECK(config_.resume && config_.resume_superstep == aborted_run.checkpoint_superstep);
+    PreparePartitioning(meta.num_vertices);
+    const SetKind snapshot = UpdatesCkptFor(aborted_run.checkpoint_side);
+    const SetKind resume_updates = UpdatesFor(aborted_run.checkpoint_superstep);
+    if (donor.config().machines == config_.machines) {
+      ImportSets(donor, aborted_run.checkpoint_edges_kind, SetKind::kEdges);
+      ImportSets(donor, aborted_run.checkpoint_side, SetKind::kVertices);
+      ImportSets(donor, snapshot, resume_updates);
+    } else {
+      ImportRepartitioned(donor, aborted_run.checkpoint_side, meta, snapshot, resume_updates,
+                          aborted_run.checkpoint_edges_kind);
+    }
+  }
+
   // Outputs emitted during supersteps that completed before `superstep`,
   // concatenated in machine order — the committed output stream a recovery
   // restart must preserve from a crashed run (core/recovery.h).
@@ -170,7 +180,7 @@ class Cluster {
 
   // Copies every chunk of `kind` sets (all partitions) from `from` into this
   // cluster's engines at the same machine positions, relabeling to `as`.
-  // Machine counts must match. Used by crash-recovery flows.
+  // Machine counts must match. RestoreFromCheckpoint's same-size path.
   template <GasProgram Q>
   void ImportSets(Cluster<Q>& from, SetKind kind, SetKind as) {
     CHAOS_CHECK_EQ(from.config().machines, config_.machines);
@@ -248,8 +258,8 @@ class Cluster {
   // by the new vertex ranges, and the checkpoint's update-set snapshot
   // (`updates_source`, when given) is re-binned by the new partition of
   // each record's destination vertex and relabeled `updates_as`. Call
-  // PreparePartitioning first. Also valid for equal machine counts, where
-  // ImportSets is the cheaper path. `edges_source` selects which edge side
+  // PreparePartitioning first; RestoreFromCheckpoint's rescaled path. Also
+  // valid for equal machine counts. `edges_source` selects which edge side
   // of the crashed cluster to drain (an evolving run's committed side may
   // be kEdgesB); the imported copy is always relabeled kEdges, the side a
   // fresh cluster reads first.
@@ -394,42 +404,12 @@ class Cluster {
   }
 
  private:
-  void IngestInput(const InputGraph& input) {
-    parts_ = std::make_unique<Partitioning>(
-        Partitioning::Compute(input.num_vertices, config_.machines,
-                              sizeof(VState) + sizeof(A), config_.memory_budget_bytes));
-    // The unsorted edge list is randomly distributed over all storage
-    // devices before the (timed) run starts (§8).
-    Rng rng(HashCombine(config_.seed, 0x1297u));
-    const uint64_t per_chunk =
-        std::max<uint64_t>(1, config_.chunk_bytes / input.edge_wire_bytes());
-    const SetId input_set{0, SetKind::kInput};
-    uint64_t index = 0;
-    for (size_t start = 0; start < input.edges.size(); start += per_chunk) {
-      const size_t n = std::min<uint64_t>(per_chunk, input.edges.size() - start);
-      std::vector<Edge> slice(input.edges.begin() + static_cast<int64_t>(start),
-                              input.edges.begin() + static_cast<int64_t>(start + n));
-      const uint64_t wire = n * input.edge_wire_bytes();
-      const auto target =
-          static_cast<MachineId>(rng.Below(static_cast<uint64_t>(config_.machines)));
-      Chunk chunk = MakeChunk<Edge>(index, wire, std::move(slice));
-      if (directory_ != nullptr) {
-        directory_->HostRecord(input_set, index, target);
-      }
-      storage_[static_cast<size_t>(target)]->HostAddChunk(input_set, std::move(chunk));
-      ++index;
-    }
-  }
-
-  // Batched version of IngestInput: same chunking, same seeded placement
-  // sequence, but the edge list arrives in caller-supplied batches. A carry
-  // buffer bridges batch boundaries so chunk contents match what one big
-  // edge vector would have produced.
-  void IngestInputStream(uint64_t num_vertices, uint64_t edge_wire_bytes,
-                         const std::function<void(const BatchSink&)>& feed) {
-    parts_ = std::make_unique<Partitioning>(
-        Partitioning::Compute(num_vertices, config_.machines, sizeof(VState) + sizeof(A),
-                              config_.memory_budget_bytes));
+  // The unsorted edge list is randomly distributed over all storage devices
+  // before the (timed) run starts (§8). Chunks are cut straight out of each
+  // batch in stream order; only a batch's tail, shorter than one chunk, is
+  // carried into the next, so chunk contents do not depend on where the
+  // batch boundaries fall.
+  void IngestInput(uint64_t edge_wire_bytes, const std::function<void(const BatchSink&)>& feed) {
     Rng rng(HashCombine(config_.seed, 0x1297u));
     const uint64_t per_chunk = std::max<uint64_t>(1, config_.chunk_bytes / edge_wire_bytes);
     const SetId input_set{0, SetKind::kInput};
@@ -447,14 +427,20 @@ class Cluster {
     };
     std::vector<Edge> carry;
     feed([&](const std::vector<Edge>& batch) {
-      carry.insert(carry.end(), batch.begin(), batch.end());
-      size_t start = 0;
-      while (carry.size() - start >= per_chunk) {
-        emit(std::vector<Edge>(carry.begin() + static_cast<int64_t>(start),
-                               carry.begin() + static_cast<int64_t>(start + per_chunk)));
-        start += per_chunk;
+      const auto at = [&](uint64_t i) { return batch.begin() + static_cast<int64_t>(i); };
+      uint64_t start = 0;
+      if (!carry.empty()) {
+        start = std::min<uint64_t>(per_chunk - carry.size(), batch.size());
+        carry.insert(carry.end(), batch.begin(), at(start));
+        if (carry.size() < per_chunk) {
+          return;
+        }
+        emit(std::exchange(carry, {}));
       }
-      carry.erase(carry.begin(), carry.begin() + static_cast<int64_t>(start));
+      for (; batch.size() - start >= per_chunk; start += per_chunk) {
+        emit(std::vector<Edge>(at(start), at(start + per_chunk)));
+      }
+      carry.assign(at(start), batch.end());
     });
     if (!carry.empty()) {
       emit(std::move(carry));
@@ -629,6 +615,15 @@ class Cluster {
   std::vector<MachineMetrics> machine_metrics_;
   TimeNs finish_time_ = 0;
 };
+
+// Called on every cluster a job driver builds (core/recovery.h,
+// core/job_execution.h), before Run/Resume, with the number of mutation
+// epochs already baked into the state that cluster holds: 0 for a fresh
+// run, the committed checkpoint's epoch after RestoreFromCheckpoint.
+// Evolving jobs bind their MutationFeed through it (algorithms/evolving.h
+// EvolvingController::Attach); static jobs pass none.
+template <GasProgram P>
+using AttachHook = std::function<void(Cluster<P>&, uint64_t applied_epochs)>;
 
 }  // namespace chaos
 

@@ -128,9 +128,9 @@ struct ClusterConfig {
 
   // Resume a crashed run (default false): skip pre-processing; vertex and
   // edge sets must already be present in storage, imported from the
-  // committed checkpoint side via Cluster::ImportSets (same machine count)
-  // or Cluster::ImportRepartitioned (rescaled). Consumed by Cluster::Resume
-  // and ComputeEngine::Main; RunWithRecovery sets both fields up.
+  // committed checkpoint by Cluster::RestoreFromCheckpoint. Consumed by
+  // Cluster::Resume and ComputeEngine::Main; RunWithRecovery sets both
+  // fields up.
   bool resume = false;
   // First superstep of the resumed run (units: absolute superstep index;
   // meaningful only with `resume`): RunResult::checkpoint_superstep of the

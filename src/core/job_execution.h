@@ -12,11 +12,15 @@
 //    completed: checkpointed_superstep == stop, so the resume loses zero
 //    finished supersteps. The honest preemption cost is the one aborted
 //    superstep's partial work plus the checkpoint write itself.
-//  * The next slice re-provisions a fresh Cluster and imports the durable
-//    sets exactly like the machine-failure recovery driver (core/recovery.h):
-//    edges, the committed checkpoint side as the live vertex set, and the
-//    commit-time update-set snapshot under the kind the resumed gather scans.
-//    Outputs emitted by completed supersteps are carried across slices.
+//  * The next slice re-provisions a fresh Cluster and restores the durable
+//    sets with Cluster::RestoreFromCheckpoint, the same primitive the
+//    machine-failure recovery driver (core/recovery.h) uses: edges, the
+//    committed checkpoint side as the live vertex set, and the commit-time
+//    update-set snapshot under the kind the resumed gather scans. Outputs
+//    emitted by completed supersteps are carried across slices.
+//  * Evolving jobs re-bind their mutation feed to each slice's cluster
+//    through an AttachHook (core/cluster.h), at the epoch the restored
+//    checkpoint committed.
 //
 // Because every slice is an ordinary deterministic cluster run and the resume
 // path is the recovery path, a preempted job's final values are bitwise equal
@@ -24,7 +28,6 @@
 #ifndef CHAOS_CORE_JOB_EXECUTION_H_
 #define CHAOS_CORE_JOB_EXECUTION_H_
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -49,14 +52,9 @@ class TypedJobExecution final : public JobExecution {
     CHAOS_CHECK_MSG(!spec_.recover, "recovery mode is single-job only");
   }
 
-  // Evolving-graph support: called after each slice's cluster is built (and,
-  // on resume, after the durable sets are imported) but before Run/Resume,
-  // with the number of mutation epochs already baked into the state the
-  // cluster holds (0 for the first slice; the committed checkpoint's epoch
-  // after a preemption). The hook attaches the job's MutationFeed — see
-  // algorithms/evolving.h EvolvingController::Attach.
-  using AttachHook = std::function<void(Cluster<P>&, uint64_t applied_epochs)>;
-  void set_attach_hook(AttachHook hook) { attach_ = std::move(hook); }
+  // Evolving-graph support: the hook runs on each slice's cluster (on
+  // resume, after the checkpoint restore) before Run/Resume.
+  void set_attach_hook(AttachHook<P> hook) { attach_ = std::move(hook); }
 
   uint64_t next_superstep() const override { return next_superstep_; }
 
@@ -102,13 +100,17 @@ class TypedJobExecution final : public JobExecution {
     auto committed = cluster_->OutputsBefore(run.checkpoint_superstep);
     carried_outputs_.insert(carried_outputs_.end(), std::make_move_iterator(committed.begin()),
                             std::make_move_iterator(committed.end()));
-    ckpt_global_ = run.checkpoint_global;
-    ckpt_side_ = run.checkpoint_side;
-    // A slice of an evolving job may have committed forced mutation
-    // checkpoints: the next slice must import the edge side that was live
-    // at the final commit and replay mutations from its epoch.
-    ckpt_edges_kind_ = run.checkpoint_edges_kind;
-    ckpt_epoch_ = run.checkpoint_epoch;
+    // Only the checkpoint fields travel to the next slice. A slice of an
+    // evolving job may have committed forced mutation checkpoints: the
+    // restore takes the edge side live at the final commit, and mutations
+    // replay from its epoch.
+    checkpoint_ = RunResult<P>{};
+    checkpoint_.has_checkpoint = true;
+    checkpoint_.checkpoint_global = run.checkpoint_global;
+    checkpoint_.checkpoint_superstep = run.checkpoint_superstep;
+    checkpoint_.checkpoint_side = run.checkpoint_side;
+    checkpoint_.checkpoint_edges_kind = run.checkpoint_edges_kind;
+    checkpoint_.checkpoint_epoch = run.checkpoint_epoch;
     next_superstep_ = run.checkpoint_superstep;
     out.end_superstep = next_superstep_;
     return out;
@@ -128,41 +130,29 @@ class TypedJobExecution final : public JobExecution {
     return cluster_->Run(*spec_.input);
   }
 
-  // Same import/resume recipe as core/recovery.h's same-size replacement:
-  // chunk homes are machine-count-stable, so durable sets copy across
-  // position-for-position from the previous slice's (dead) cluster.
+  // The resume recipe of core/recovery.h's same-size replacement, from the
+  // previous slice's (dead) cluster.
   RunResult<P> RunResumed(ClusterConfig cfg) {
     cfg.resume = true;
     cfg.resume_superstep = next_superstep_;
     auto replacement = std::make_unique<Cluster<P>>(cfg, prog_);
-    replacement->PreparePartitioning(spec_.input->num_vertices);
-    replacement->ImportSets(*cluster_, ckpt_edges_kind_, SetKind::kEdges);
-    replacement->ImportSets(*cluster_, ckpt_side_, SetKind::kVertices);
-    replacement->ImportSets(*cluster_, UpdatesCkptFor(ckpt_side_), UpdatesFor(next_superstep_));
+    const GraphMeta meta = GraphMeta::For(*spec_.input);
+    replacement->RestoreFromCheckpoint(*cluster_, checkpoint_, meta);
     if (attach_) {
-      attach_(*replacement, ckpt_epoch_);
+      attach_(*replacement, checkpoint_.checkpoint_epoch);
     }
-
-    GraphMeta meta;
-    meta.num_vertices = spec_.input->num_vertices;
-    meta.weighted = spec_.input->weighted;
-    meta.edge_wire_bytes = spec_.input->edge_wire_bytes();
-    meta.vertex_id_wire_bytes = spec_.input->vertex_id_wire_bytes();
-    RunResult<P> run = replacement->Resume(meta, ckpt_global_);
+    RunResult<P> run = replacement->Resume(meta, checkpoint_.checkpoint_global);
     cluster_ = std::move(replacement);  // the old donor dies here, post-import
     return run;
   }
 
   P prog_;
   Finalize finalize_;
-  AttachHook attach_;
+  AttachHook<P> attach_;
 
   std::unique_ptr<Cluster<P>> cluster_;  // previous slice = next slice's donor
   uint64_t next_superstep_ = 0;
-  typename P::GlobalState ckpt_global_{};
-  SetKind ckpt_side_ = SetKind::kCheckpointA;
-  SetKind ckpt_edges_kind_ = SetKind::kEdges;
-  uint64_t ckpt_epoch_ = 0;
+  RunResult<P> checkpoint_;  // the last preempted slice's checkpoint fields
   std::vector<typename P::OutputRecord> carried_outputs_;
   bool done_ = false;
   AlgoResult result_;

@@ -1,11 +1,17 @@
 // Machine-failure recovery driver (paper §6.6): runs a workload, and if a
 // fault-injected MachineCrash aborts it, re-provisions a replacement
 // cluster — same size, or rescaled (e.g. the N-1 survivors) with
-// repartitioned vertex ranges — imports the last committed checkpoint from
-// the durable storage of the crashed cluster, and resumes. This is the
-// closed loop behind the paper's "checkpointing is cheap because recovery
-// is a restart from the last committed checkpoint" claim (Fig. 13): the
-// recovered run must produce the same results as a fault-free one.
+// repartitioned vertex ranges — restores the last committed checkpoint from
+// the durable storage of the crashed cluster (Cluster::RestoreFromCheckpoint),
+// and resumes. This is the closed loop behind the paper's "checkpointing is
+// cheap because recovery is a restart from the last committed checkpoint"
+// claim (Fig. 13): the recovered run must produce the same results as a
+// fault-free one.
+//
+// The one driver serves static and evolving jobs alike: an evolving job
+// passes an AttachHook (core/cluster.h) that binds its mutation feed to
+// every cluster the driver builds, rewound to the restored checkpoint's
+// epoch so every epoch that was not durably committed replays.
 //
 // Failure model: fail-stop machine failures (sim/fault_injector.h
 // FaultKind::kMachineCrash), detected cluster-wide at the next barrier.
@@ -30,14 +36,22 @@ namespace chaos {
 // Returns the completed run's result, with recovery accounting filled into
 // its Metrics (recovered / lost_work_supersteps / time_to_recover /
 // crashed_run_time). `report`, when non-null, receives the full timeline.
+// `attach`, when set, is called on each cluster before it runs.
 template <GasProgram P>
 RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGraph& input,
                              const RecoveryOptions& opts = {},
-                             RecoveryReport* report = nullptr) {
+                             RecoveryReport* report = nullptr,
+                             const AttachHook<P>& attach = {}) {
+  const auto attach_to = [&](Cluster<P>& cluster, uint64_t applied_epochs) {
+    if (attach) {
+      attach(cluster, applied_epochs);
+    }
+  };
   RecoveryReport rep;
   rep.machines_after = config.machines;
 
   Cluster<P> cluster(config, prog);
+  attach_to(cluster, 0);
   RunResult<P> first = cluster.Run(input);
   rep.end_to_end_time = first.metrics.total_time;
   if (!first.crashed) {
@@ -62,36 +76,16 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
   }
   rep.machines_after = rcfg.machines;
 
-  GraphMeta meta;
-  meta.num_vertices = input.num_vertices;
-  meta.weighted = input.weighted;
-  meta.edge_wire_bytes = input.edge_wire_bytes();
-  meta.vertex_id_wire_bytes = input.vertex_id_wire_bytes();
-
   RunResult<P> second;
   if (first.has_checkpoint) {
     rcfg.resume = true;
     rcfg.resume_superstep = first.checkpoint_superstep;
     rep.resume_superstep = first.checkpoint_superstep;
     rep.recovered_from_checkpoint = true;
+    const GraphMeta meta = GraphMeta::For(input);
     Cluster<P> replacement(rcfg, prog);
-    replacement.PreparePartitioning(input.num_vertices);
-    // The resume superstep's update set travels with the checkpoint: its
-    // commit-time snapshot (gather-phase emissions the resumed scatter
-    // cannot regenerate) is re-imported under the live update-set kind the
-    // first resumed gather will scan.
-    const SetKind usnap = UpdatesCkptFor(first.checkpoint_side);
-    const SetKind resume_updates = UpdatesFor(first.checkpoint_superstep);
-    if (rcfg.machines == config.machines) {
-      // Same-size replacement: chunk homes are machine-count-stable, so the
-      // durable sets copy across position-for-position.
-      replacement.ImportSets(cluster, first.checkpoint_edges_kind, SetKind::kEdges);
-      replacement.ImportSets(cluster, first.checkpoint_side, SetKind::kVertices);
-      replacement.ImportSets(cluster, usnap, resume_updates);
-    } else {
-      replacement.ImportRepartitioned(cluster, first.checkpoint_side, meta, usnap,
-                                      resume_updates, first.checkpoint_edges_kind);
-    }
+    replacement.RestoreFromCheckpoint(cluster, first, meta);
+    attach_to(replacement, first.checkpoint_epoch);
     second = replacement.Resume(meta, first.checkpoint_global);
     // The replacement re-executes supersteps >= resume_superstep and
     // re-emits their sink outputs; outputs emitted by the crashed run's
@@ -106,6 +100,7 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
     // pre-processing): nothing to resume from, restart the whole run.
     rcfg.resume = false;
     Cluster<P> replacement(rcfg, std::move(prog));
+    attach_to(replacement, 0);
     second = replacement.Run(input);
   }
 

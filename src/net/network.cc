@@ -61,7 +61,7 @@ void UpdateWireCodec::Encode(const uint64_t* dst, const uint8_t* values, uint32_
   out->push_back(kPackedUpdateFrame);
   uint64_t prev = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    PutVarint(ZigZag(static_cast<int64_t>(dst[i]) - static_cast<int64_t>(prev)), out);
+    PutVarint(ZigZag(static_cast<int64_t>(dst[i] - prev)), out);  // wrapping delta
     prev = dst[i];
   }
   out->insert(out->end(), values, values + n * value_bytes);
@@ -86,7 +86,7 @@ uint32_t UpdateWireCodec::Decode(const uint8_t* in, size_t in_len, uint64_t valu
       break;
     }
     const uint64_t delta = GetVarint(in, in_len, &pos);
-    prev = static_cast<uint64_t>(static_cast<int64_t>(prev) + UnZigZag(delta));
+    prev += static_cast<uint64_t>(UnZigZag(delta));
     dst->push_back(prev);
     ++n;
   }

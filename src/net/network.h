@@ -103,8 +103,9 @@ class UpdateWireCodec {
 class UpdateWireSizer {
  public:
   void Add(uint64_t dst) {
-    varint_bytes_ += UpdateWireCodec::VarintLen(UpdateWireCodec::ZigZag(
-        static_cast<int64_t>(dst) - static_cast<int64_t>(prev_)));
+    // Wrapping unsigned delta: far-apart ids must not overflow int64_t.
+    varint_bytes_ += UpdateWireCodec::VarintLen(
+        UpdateWireCodec::ZigZag(static_cast<int64_t>(dst - prev_)));
     prev_ = dst;
     ++count_;
   }

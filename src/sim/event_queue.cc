@@ -29,11 +29,9 @@ void EventQueue::Push(TimeNs time, EventFn fn) {
 
 EventQueue::Event EventQueue::Pop() {
   CHAOS_CHECK(size_ > 0);
-  --size_;
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    return HeapPop();
-  }
-  return CalPop();
+  Event ev = impl_ == EventQueueImpl::kBinaryHeap ? HeapPop() : CalPop();
+  --size_;  // after the pop: CalPop's locate step checks the queue is non-empty
+  return ev;
 }
 
 const EventQueue::Event& EventQueue::Peek() {

@@ -3,9 +3,12 @@
 // references across machine counts, placements and stealing settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "algorithms/basic.h"
 #include "core/cluster.h"
@@ -637,6 +640,64 @@ TEST(ClusterPropertyTest, ChunkSizeDoesNotChangeResults) {
           << "chunk=" << chunk << " vertex " << v;
     }
   }
+}
+
+// --------------------------------------------------------- streamed ingest
+
+// RunStreaming chunks and places the edge stream exactly like Run() does
+// the materialized list, whatever the batch boundaries: empty batches, one
+// edge at a time, one edge short of or past a chunk, the whole graph at
+// once. Every split must reproduce Run() bit for bit.
+template <GasProgram P>
+void ExpectStreamingMatchesRun(const P& prog, InputGraph g) {
+  g.edges.resize(g.edges.size() - 37);  // ragged tail: the last chunk is partial
+  const ClusterConfig cfg = SmallConfig(4);
+  const size_t per_chunk = cfg.chunk_bytes / g.edge_wire_bytes();
+  ASSERT_NE(g.edges.size() % per_chunk, 0u);
+
+  Cluster<P> base_cluster(cfg, prog);
+  const RunResult<P> base = base_cluster.Run(g);
+  ASSERT_FALSE(base.crashed);
+
+  // Batch sizes cycle through `pattern` until the edges run out; a final
+  // empty batch follows.
+  const std::vector<std::vector<size_t>> patterns = {
+      {0, 7, 0, 0, 300}, {1}, {per_chunk - 1}, {per_chunk + 1}, {g.edges.size()}};
+  for (const auto& pattern : patterns) {
+    Cluster<P> cluster(cfg, prog);
+    const RunResult<P> run = cluster.RunStreaming(
+        g.num_vertices, g.weighted, [&](const typename Cluster<P>::BatchSink& sink) {
+          std::vector<Edge> batch;
+          size_t start = 0;
+          for (size_t i = 0; start < g.edges.size(); ++i) {
+            const size_t n = std::min(pattern[i % pattern.size()], g.edges.size() - start);
+            batch.assign(g.edges.begin() + static_cast<int64_t>(start),
+                         g.edges.begin() + static_cast<int64_t>(start + n));
+            sink(batch);
+            start += n;
+          }
+          sink(std::vector<Edge>{});
+        });
+    const std::string split = "pattern[0]=" + std::to_string(pattern[0]);
+    EXPECT_EQ(run.values, base.values) << split;
+    EXPECT_EQ(std::memcmp(&run.final_global, &base.final_global, sizeof(base.final_global)), 0)
+        << split;
+    EXPECT_EQ(run.metrics.total_time, base.metrics.total_time) << split;
+    EXPECT_EQ(run.metrics.superstep_end_times, base.metrics.superstep_end_times) << split;
+    ASSERT_EQ(run.metrics.machines.size(), base.metrics.machines.size());
+    for (size_t m = 0; m < base.metrics.machines.size(); ++m) {
+      EXPECT_EQ(run.metrics.machines[m].chunks_fetched, base.metrics.machines[m].chunks_fetched)
+          << split << " machine " << m;
+    }
+  }
+}
+
+TEST(ClusterStreamingTest, BfsBatchSplitsMatchRun) {
+  ExpectStreamingMatchesRun(BfsProgram(0), MakeUndirected(TestGraph(53)));
+}
+
+TEST(ClusterStreamingTest, PageRankBatchSplitsMatchRun) {
+  ExpectStreamingMatchesRun(PageRankProgram(4), TestGraph(59));
 }
 
 // Update-plane combining is pure re-encoding (wire) plus control-message

@@ -497,6 +497,27 @@ TEST(EvolvingRecoveryTest, CrashAfterCommitResumesMutatedEdges) {
   EXPECT_EQ(recovered.values, healthy.values);
 }
 
+// Without recover, a machine crash ends an evolving job exactly like a
+// static one: the job reports the crash and no recovery runs.
+TEST(EvolvingRecoveryTest, CrashWithoutRecoverIsNotRecovered) {
+  InputGraph raw = SmallRmat(35);
+  const MutationLogOptions opt = Schedule(2, 0.04, MutatePreset::kUniform, 53);
+  ClusterConfig cfg = SmallConfig(3);
+  cfg.checkpoint_interval = 2;
+
+  JobResult healthy = RunJob(EvolvingJob("wcc", raw, cfg, opt));
+  ASSERT_FALSE(healthy.crashed);
+
+  JobSpec spec = EvolvingJob("wcc", raw, cfg, opt);
+  ASSERT_FALSE(spec.recover);
+  spec.cluster.faults = FaultSchedule::MachineCrash(1, healthy.metrics.total_time / 2);
+  JobResult crashed = RunJob(spec);
+  EXPECT_TRUE(crashed.crashed);
+  EXPECT_FALSE(crashed.recovery.crash_detected);
+  EXPECT_FALSE(crashed.metrics.recovered);
+  EXPECT_FALSE(crashed.sched.completed);
+}
+
 // ------------------------------------------------------- compositions
 
 TEST(EvolvingCompositionTest, PreemptedSlicesMatchIsolatedBitwise) {
@@ -561,14 +582,9 @@ TEST(ImportValidationTest, RepartitionRejectsOutOfRangeEdges) {
   ASSERT_FALSE(run.crashed);
 
   ClusterConfig rcfg = SmallConfig(2);
-  GraphMeta meta;
-  meta.num_vertices = bad.num_vertices;
-  meta.weighted = bad.weighted;
-  meta.edge_wire_bytes = bad.edge_wire_bytes();
-  meta.vertex_id_wire_bytes = bad.vertex_id_wire_bytes();
   Cluster<BfsProgram> replacement(rcfg, BfsProgram(0));
   replacement.PreparePartitioning(bad.num_vertices);
-  EXPECT_DEATH(replacement.ImportRepartitioned(donor, SetKind::kVertices, meta),
+  EXPECT_DEATH(replacement.ImportRepartitioned(donor, SetKind::kVertices, GraphMeta::For(bad)),
                "references a vertex beyond");
 }
 
