@@ -39,6 +39,7 @@
 //         --algo pagerank --scale 14 --machines 4 --arrival-ms 0
 //   chaos_run --trace-preset bursty --trace-jobs 12 --algo wcc --scale 12
 //             --machines 2 --policy priority --quantum 4
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -329,6 +330,11 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   if (mutate_batches > 0) {
     if (algo != "bfs" && algo != "sssp" && algo != "wcc") {
       std::fprintf(stderr, "--mutate-batches supports bfs/sssp/wcc, not %s\n", algo.c_str());
+      return std::nullopt;
+    }
+    const double rate = opt.GetDouble("mutate-rate");
+    if (!std::isfinite(rate) || rate <= 0.0) {
+      std::fprintf(stderr, "--mutate-rate must be a finite number > 0 (got %g)\n", rate);
       return std::nullopt;
     }
     mutate_preset = MutatePresetByName(opt.GetString("mutate-preset"));

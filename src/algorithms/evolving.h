@@ -15,11 +15,14 @@
 // (3) computes warm-start seeds from the converged states (incremental.h) —
 // or fresh InitVertex seeds for the full-recompute baseline — and (4) bins
 // the complete post-batch prepared edge list by partition for the engines'
-// re-bin stage. Recovery (core/recovery.h) and preemption
-// (core/job_execution.h) re-attach the controller through their AttachHook
-// at the restored checkpoint's epoch: current_raw rewinds via
-// MutationLog::GraphAfter and the feed replays every epoch that was not
-// durably committed.
+// re-bin stage. Every step is linear in the graph size per epoch: WCC
+// certifies all of a batch's deletions with one union-find pass over the
+// new graph, and only the BFS/SSSP seeders, which walk the pre-batch
+// graph's tight arcs, re-prepare the old graph. Recovery
+// (core/recovery.h) and preemption (core/job_execution.h) re-attach the
+// controller through their AttachHook at the restored checkpoint's epoch:
+// current_raw rewinds via MutationLog::GraphAfter and the feed replays
+// every epoch that was not durably committed.
 #ifndef CHAOS_ALGORITHMS_EVOLVING_H_
 #define CHAOS_ALGORITHMS_EVOLVING_H_
 
@@ -37,13 +40,6 @@
 
 namespace chaos {
 
-// Bounded-probe default for callers that want a capped WCC connectivity
-// check (tests exercise both regimes). The controller itself follows
-// MutationSchedule::wcc_connectivity_budget: 0 = exhaustive, which is free
-// in simulated time (planning is host-side) and keeps giant components
-// from re-flooding on every intra-component delete.
-inline constexpr uint64_t kWccConnectivityBudget = 4096;
-
 template <GasProgram P>
 class EvolvingController {
  public:
@@ -54,7 +50,6 @@ class EvolvingController {
       : prog_(std::move(prog)),
         algorithm_(std::move(algorithm)),
         incremental_(sched.incremental),
-        wcc_budget_(sched.wcc_connectivity_budget),
         log_(raw, sched.log),
         current_raw_(raw),
         initial_prepared_(PrepareInput(algorithm_, raw)) {
@@ -87,7 +82,6 @@ class EvolvingController {
   // engines charge the data movement when they apply the delta).
   MutationDelta Plan(Cluster<P>* cluster, uint64_t epoch) {
     const MutationBatch& batch = log_.batch(epoch);
-    const InputGraph old_prepared = PrepareInput(algorithm_, current_raw_);
     InputGraph new_raw = current_raw_;
     MutationLog::Apply(&new_raw, batch);
     const InputGraph new_prepared = PrepareInput(algorithm_, new_raw);
@@ -103,7 +97,7 @@ class EvolvingController {
       // Warm-start from the engine's own converged states (read host-side
       // at the barrier instant — every machine is quiescent).
       cluster->HostReadStates(SetKind::kVertices, &seeds);
-      stats = ComputeSeeds(old_prepared, new_prepared, batch, &seeds);
+      stats = ComputeSeeds(new_prepared, batch, &seeds);
     } else {
       // Full-recompute baseline: fresh InitVertex seeds, identical apply
       // cost — the comparison isolates re-convergence work.
@@ -134,8 +128,10 @@ class EvolvingController {
     return delta;
   }
 
-  SeedStats ComputeSeeds(const InputGraph& old_prepared, const InputGraph& new_prepared,
-                         const MutationBatch& batch, std::vector<VState>* seeds) const {
+  // Runs before Plan advances current_raw_, so the pre-batch graph is
+  // re-prepared from it — only for the seeders that read it (BFS/SSSP).
+  SeedStats ComputeSeeds(const InputGraph& new_prepared, const MutationBatch& batch,
+                         std::vector<VState>* seeds) const {
     // Per-arc (prepared) images of the batch: undirected preparation turns
     // each raw edge into two forward arcs.
     auto prepared_arcs = [](const std::vector<Edge>& raw) {
@@ -150,17 +146,13 @@ class EvolvingController {
     const std::vector<Edge> del_arcs = prepared_arcs(batch.deletes);
     const std::vector<Edge> ins_arcs = prepared_arcs(batch.inserts);
     if constexpr (std::is_same_v<P, IncBfsProgram>) {
-      return SeedIncBfs(old_prepared, new_prepared, del_arcs, ins_arcs,
-                        prog_.InitGlobal(0).source, seeds);
+      return SeedIncBfs(PrepareInput(algorithm_, current_raw_), new_prepared, del_arcs,
+                        ins_arcs, prog_.InitGlobal(0).source, seeds);
     } else if constexpr (std::is_same_v<P, SsspProgram>) {
-      return SeedSssp(old_prepared, new_prepared, del_arcs, ins_arcs,
-                      prog_.InitGlobal(0).source, seeds);
+      return SeedSssp(PrepareInput(algorithm_, current_raw_), new_prepared, del_arcs,
+                      ins_arcs, prog_.InitGlobal(0).source, seeds);
     } else if constexpr (std::is_same_v<P, WccProgram>) {
-      // Budget 0 = exhaustive: one traversal per arc fully explores any
-      // component, so every intact deletion is certified.
-      const uint64_t budget =
-          wcc_budget_ != 0 ? wcc_budget_ : new_prepared.edges.size() + 1;
-      return SeedWcc(new_prepared, batch.deletes, ins_arcs, budget, seeds);
+      return SeedWcc(new_prepared, batch.deletes, ins_arcs, seeds);
     } else {
       CHAOS_CHECK_MSG(false, "no incremental seeder for this program");
       return SeedStats{};
@@ -170,7 +162,6 @@ class EvolvingController {
   P prog_;
   std::string algorithm_;
   bool incremental_;
-  uint64_t wcc_budget_;  // 0 = exhaustive probe
   MutationLog log_;
   InputGraph current_raw_;   // raw graph as of the last planned epoch
   InputGraph initial_prepared_;

@@ -15,14 +15,17 @@
 //    at a suspect; suspects reset to "unreached" and the intact boundary
 //    re-announces. Conservative — over-marking only costs recompute work,
 //    never correctness.
-//  * WCC: per deleted intra-component edge, a budgeted reachability probe
-//    on the new graph; if the endpoints may have split (or the budget runs
-//    out), the entire old component resets to self-labels and re-floods.
+//  * WCC: one union-find pass over the new graph certifies every deleted
+//    intra-component edge at once; if its endpoints fell into different
+//    components, the entire old component resets to self-labels and
+//    re-floods.
 #ifndef CHAOS_ALGORITHMS_INCREMENTAL_H_
 #define CHAOS_ALGORITHMS_INCREMENTAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -301,56 +304,52 @@ inline SeedStats SeedSssp(const InputGraph& old_prepared, const InputGraph& new_
 
 // ------------------------------------------------------------- WCC seeder
 
-// Bounded DFS reachability on the new graph: true iff `to` is reached from
-// `from` within `budget` arc traversals. Budget exhaustion reports false —
-// the caller treats "don't know" as "split" (a conservative full reset).
-inline bool HostConnected(const HostAdjacency& adj, VertexId from, VertexId to,
-                          uint64_t budget) {
-  if (from == to) {
-    return true;
-  }
-  std::vector<VertexId> stack{from};
-  std::unordered_set<VertexId> seen{from};
-  uint64_t traversed = 0;
-  while (!stack.empty()) {
-    const VertexId u = stack.back();
-    stack.pop_back();
-    for (const auto& arc : adj.Out(u)) {
-      if (++traversed > budget) {
-        return false;
-      }
-      if (arc.dst == to) {
-        return true;
-      }
-      if (seen.insert(arc.dst).second) {
-        stack.push_back(arc.dst);
+// Connected components of the forward arcs of a prepared graph: union-find
+// with path halving and union by min id. On a symmetric (undirected-
+// prepared) graph, Connected(u, v) is exactly "v is reachable from u".
+class HostComponents {
+ public:
+  explicit HostComponents(const InputGraph& g) : parent_(g.num_vertices) {
+    std::iota(parent_.begin(), parent_.end(), VertexId{0});
+    for (const Edge& e : g.edges) {
+      if (e.flags == kEdgeForward) {
+        const VertexId a = Find(e.src);
+        const VertexId b = Find(e.dst);
+        parent_[std::max(a, b)] = std::min(a, b);
       }
     }
   }
-  return false;  // component exhausted without reaching `to`
-}
 
-// `deleted_edges` are the RAW batch deletions (one probe per edge, not per
+  bool Connected(VertexId a, VertexId b) { return Find(a) == Find(b); }
+
+ private:
+  VertexId Find(VertexId x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+
+  std::vector<VertexId> parent_;
+};
+
+// `deleted_edges` are the RAW batch deletions (one check per edge, not per
 // prepared arc); `inserted_arcs` are prepared (both directions, so both
-// endpoints of every raw insert get their changed flag).
+// endpoints of every raw insert get their changed flag). `new_prepared`
+// must be symmetric (PrepareInput("wcc")).
 inline SeedStats SeedWcc(const InputGraph& new_prepared, const std::vector<Edge>& deleted_edges,
-                         const std::vector<Edge>& inserted_arcs, uint64_t connectivity_budget,
+                         const std::vector<Edge>& inserted_arcs,
                          std::vector<WccProgram::VertexState>* states) {
   auto& st = *states;
   const uint64_t n = new_prepared.num_vertices;
   CHAOS_CHECK_EQ(st.size(), n);
-  const HostAdjacency adj(new_prepared);
+  HostComponents components(new_prepared);
   std::unordered_set<VertexId> reset_labels;
   for (const Edge& e : deleted_edges) {
     // At convergence both endpoints of an existing edge carry their
     // component's min label, so unequal labels mean nothing to check.
-    if (st[e.src].label != st[e.dst].label) {
-      continue;
-    }
-    if (reset_labels.count(st[e.src].label) != 0) {
-      continue;  // this component already resets wholesale
-    }
-    if (!HostConnected(adj, e.src, e.dst, connectivity_budget)) {
+    if (st[e.src].label == st[e.dst].label && !components.Connected(e.src, e.dst)) {
       reset_labels.insert(st[e.src].label);
     }
   }

@@ -74,11 +74,6 @@ struct MutationSchedule {
   // (algorithms/incremental.h); false = full-recompute baseline (fresh
   // InitVertex seeds every epoch, identical mutation-apply cost).
   bool incremental = true;
-  // Arc budget for the per-deleted-edge WCC connectivity probe (planning is
-  // host-side, so the default probes exhaustively — one traversal per arc).
-  // A nonzero bound caps each probe; "don't know" then resets the whole
-  // component, trading recompute work for probe work.
-  uint64_t wcc_connectivity_budget = 0;
 
   bool active() const { return log.num_batches > 0; }
 };

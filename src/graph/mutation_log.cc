@@ -1,9 +1,10 @@
 #include "graph/mutation_log.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
-#include <map>
 #include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/common.h"
@@ -16,8 +17,9 @@ namespace {
 // the multiset semantics are total (no NaN/-0.0 surprises). Must be a
 // lossless encoding, not a hash — a collision would make Apply remove an
 // edge the batch never named, and the incremental seeders' reseed math
-// relies on the graph diff being exactly the batch's records.
-using EdgeKey = std::tuple<VertexId, VertexId, uint32_t, uint8_t>;
+// relies on the graph diff being exactly the batch's records. The hash
+// below only picks a bucket; key equality decides the match.
+using EdgeKey = std::tuple<VertexId, VertexId, uint32_t, uint32_t>;
 
 EdgeKey ExactKey(const Edge& e) {
   uint32_t wbits = 0;
@@ -25,6 +27,13 @@ EdgeKey ExactKey(const Edge& e) {
   std::memcpy(&wbits, &e.weight, sizeof(wbits));
   return EdgeKey{e.src, e.dst, wbits, e.flags};
 }
+
+struct EdgeKeyHash {
+  size_t operator()(const EdgeKey& k) const {
+    const auto& [src, dst, wbits, flags] = k;
+    return Mix64(Mix64(src, dst), (uint64_t{wbits} << 32) | flags);
+  }
+};
 
 Edge RandomInsert(Rng& rng, const InputGraph& g, VertexId hot_base, VertexId hot_span,
                   bool hotspot) {
@@ -78,7 +87,7 @@ std::optional<MutatePreset> MutatePresetByName(const std::string& name) {
 MutationLog::MutationLog(const InputGraph& base, const MutationLogOptions& opt)
     : base_(base) {
   CHAOS_CHECK_GT(base.num_vertices, 1u);
-  CHAOS_CHECK(opt.rate > 0.0);
+  CHAOS_CHECK(std::isfinite(opt.rate) && opt.rate > 0.0);
   CHAOS_CHECK(opt.delete_fraction >= 0.0 && opt.delete_fraction <= 1.0);
 
   InputGraph current = base;
@@ -94,8 +103,9 @@ MutationLog::MutationLog(const InputGraph& base, const MutationLogOptions& opt)
     Rng rng(Mix64(opt.seed, 0x6d75u + k));  // per-batch stream
     MutationBatch b;
     const uint64_t edges_now = current.edges.size();
-    const uint64_t total = std::max<uint64_t>(
-        static_cast<uint64_t>(opt.rate * static_cast<double>(edges_now) + 0.5), 1);
+    const double scaled = opt.rate * static_cast<double>(edges_now) + 0.5;
+    CHAOS_CHECK_MSG(scaled < 0x1p64, "mutation rate x edge count overflows 64 bits");
+    const uint64_t total = std::max<uint64_t>(static_cast<uint64_t>(scaled), 1);
     uint64_t num_del = static_cast<uint64_t>(
         opt.delete_fraction * static_cast<double>(total) + 0.5);
     num_del = std::min(num_del, edges_now);
@@ -150,7 +160,8 @@ void MutationLog::Apply(InputGraph* g, const MutationBatch& b) {
   if (!b.deletes.empty()) {
     // Multiset subtraction: remove one occurrence per delete record, keeping
     // the survivors' relative order (determinism of downstream binning).
-    std::map<EdgeKey, uint64_t> pending;
+    std::unordered_map<EdgeKey, uint64_t, EdgeKeyHash> pending;
+    pending.reserve(b.deletes.size());
     for (const Edge& e : b.deletes) {
       ++pending[ExactKey(e)];
     }

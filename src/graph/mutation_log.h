@@ -42,7 +42,8 @@ std::optional<MutatePreset> MutatePresetByName(const std::string& name);
 struct MutationLogOptions {
   // Number of batches in the log. 0 = inactive (JobSpec's default).
   uint32_t num_batches = 0;
-  // Batch size as a fraction of the CURRENT edge count (>= 1 edge).
+  // Batch size as a fraction of the CURRENT edge count (>= 1 edge). Must be
+  // finite and > 0, with rate x edge count below 2^64 (CHECKed).
   double rate = 0.01;
   // Fraction of each batch that deletes edges; the rest inserts.
   double delete_fraction = 0.5;

@@ -1,12 +1,13 @@
 // Evolving graphs (PR 8): the mutation differential battery.
 //
 //  * MutationLog: seeded determinism, GraphAfter == manual batch replay,
-//    preset/fraction behavior.
+//    preset/fraction behavior, exact-record Apply, rate validation.
 //  * Apply-then-rebin equivalence: an evolving run (mutations applied at
 //    convergence barriers, incremental re-convergence) must produce the
 //    same final values as building the fully mutated graph from scratch —
 //    bitwise for BFS/WCC, 1e-3 for SSSP.
-//  * Hand-checked incremental seeder math on micro graphs.
+//  * Hand-checked incremental seeder math on micro graphs, and SeedWcc
+//    against a per-deletion reachability oracle on random graphs.
 //  * Compositions, asserted not assumed: crash during the mutation stage
 //    (same-size and rescaled recovery replays uncommitted epochs),
 //    scheduler preemption slices, all three steal modes, tight memory.
@@ -14,8 +15,11 @@
 //    vertices beyond the vertex-count bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "algorithms/evolving.h"
@@ -24,6 +28,7 @@
 #include "graph/generators.h"
 #include "graph/mutation_log.h"
 #include "graph/ref/reference.h"
+#include "util/rng.h"
 
 namespace chaos {
 namespace {
@@ -178,6 +183,51 @@ TEST(MutationLogTest, PresetsProduceDistinctLogs) {
     }
   }
   EXPECT_TRUE(recycles);
+}
+
+TEST(MutationLogTest, ApplyRemovesExactRecordsOnce) {
+  // Deletes are a multiset of exact records: weight by bit pattern, flags
+  // included, one occurrence removed per record, survivors keep their order.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Edge a{0, 1, 1.0f, kEdgeForward};
+  const Edge a_rev{0, 1, 1.0f, kEdgeReverse};  // differs from `a` only in flags
+  const Edge pos_zero{1, 2, +0.0f, kEdgeForward};
+  const Edge neg_zero{1, 2, -0.0f, kEdgeForward};
+  const Edge not_a_number{2, 3, nan, kEdgeForward};
+  const Edge b{3, 0, 2.0f, kEdgeForward};
+  InputGraph g;
+  g.num_vertices = 4;
+  g.edges = {a, pos_zero, a, a_rev, neg_zero, b, a, not_a_number, b};
+
+  MutationBatch batch;
+  batch.deletes = {a, neg_zero, a, not_a_number, b};
+  batch.inserts = {Edge{2, 1, 3.0f, kEdgeForward}};
+  MutationLog::Apply(&g, batch);
+
+  const std::vector<Edge> want = {pos_zero, a_rev, a, b, batch.inserts[0]};
+  ASSERT_EQ(g.edges.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameEdge(g.edges[i], want[i])) << "edge " << i;
+    EXPECT_EQ(std::signbit(g.edges[i].weight), std::signbit(want[i].weight)) << "edge " << i;
+  }
+
+  // A delete naming an absent record is a caller bug, never a silent no-op.
+  MutationBatch absent;
+  absent.deletes = {Edge{1, 2, 0.5f, kEdgeForward}};
+  EXPECT_DEATH(MutationLog::Apply(&g, absent), "remaining");
+}
+
+TEST(MutationLogTest, RejectsNonFiniteRate) {
+  const InputGraph g = SmallRmat(3);
+  EXPECT_DEATH(MutationLog(g, Schedule(1, std::numeric_limits<double>::infinity())),
+               "isfinite");
+  EXPECT_DEATH(MutationLog(g, Schedule(1, std::numeric_limits<double>::quiet_NaN())),
+               "isfinite");
+}
+
+TEST(MutationLogTest, RejectsRateOverflowingEdgeCount) {
+  const InputGraph g = SmallRmat(3);
+  EXPECT_DEATH(MutationLog(g, Schedule(1, 1e300)), "overflows 64 bits");
 }
 
 // ------------------------------------------- evolving == from scratch
@@ -382,8 +432,7 @@ TEST(SeederTest, WccSplitResetsWholeComponent) {
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{3, 4, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}, {3, 0}, {3, 0}};
-  SeedStats s =
-      SeedWcc(new_p, {Edge{1, 2, 1.0f, kEdgeForward}}, {}, kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(new_p, {Edge{1, 2, 1.0f, kEdgeForward}}, {}, &st);
   EXPECT_EQ(s.resets, 3u);
   EXPECT_EQ(st[0].label, 0u);
   EXPECT_EQ(st[1].label, 1u);
@@ -401,8 +450,7 @@ TEST(SeederTest, WccCycleSurvivesDeleteWithoutResets) {
   new_raw.edges = {Edge{1, 2, 1.0f, kEdgeForward}, Edge{2, 0, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}};
-  SeedStats s =
-      SeedWcc(new_p, {Edge{0, 1, 1.0f, kEdgeForward}}, {}, kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(new_p, {Edge{0, 1, 1.0f, kEdgeForward}}, {}, &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[1].label, 0u);
@@ -415,13 +463,180 @@ TEST(SeederTest, WccInsertMarksBothEndpoints) {
                    Edge{1, 2, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {2, 0}, {2, 0}};
-  SeedStats s = SeedWcc(new_p, {}, Arcs({Edge{1, 2, 1.0f, kEdgeForward}}),
-                        kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(new_p, {}, Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(st[1].changed, 1);
   EXPECT_EQ(st[2].changed, 1);
   EXPECT_EQ(st[0].changed, 0);
   EXPECT_EQ(s.frontier, 2u);
+}
+
+TEST(SeederTest, WccParallelCopyDeleteKeepsComponent) {
+  // 0=1 joined by two parallel copies: deleting one leaves the other, so
+  // the component is intact and nothing resets.
+  InputGraph new_raw;
+  new_raw.num_vertices = 3;
+  new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{1, 2, 1.0f, kEdgeForward}};
+  const InputGraph new_p = MakeUndirected(new_raw);
+  std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}};
+  SeedStats s = SeedWcc(new_p, {Edge{0, 1, 1.0f, kEdgeForward}}, {}, &st);
+  EXPECT_EQ(s.resets, 0u);
+  EXPECT_EQ(s.frontier, 0u);
+}
+
+// The reference WCC seeder: one exhaustive reachability DFS on the new
+// graph per deleted intra-component edge. SeedWcc must agree with it on
+// every state and on SeedStats.
+bool DfsConnected(const HostAdjacency& adj, VertexId from, VertexId to) {
+  std::vector<VertexId> stack{from};
+  std::unordered_set<VertexId> seen{from};
+  while (!stack.empty()) {
+    const VertexId u = stack.back();
+    stack.pop_back();
+    if (u == to) {
+      return true;
+    }
+    for (const auto& arc : adj.Out(u)) {
+      if (seen.insert(arc.dst).second) {
+        stack.push_back(arc.dst);
+      }
+    }
+  }
+  return false;
+}
+
+SeedStats ReferenceSeedWcc(const InputGraph& new_prepared,
+                           const std::vector<Edge>& deleted_edges,
+                           const std::vector<Edge>& inserted_arcs,
+                           std::vector<WccProgram::VertexState>* states) {
+  auto& st = *states;
+  const HostAdjacency adj(new_prepared);
+  std::unordered_set<VertexId> reset_labels;
+  for (const Edge& e : deleted_edges) {
+    if (st[e.src].label == st[e.dst].label && reset_labels.count(st[e.src].label) == 0 &&
+        !DfsConnected(adj, e.src, e.dst)) {
+      reset_labels.insert(st[e.src].label);
+    }
+  }
+  std::vector<uint8_t> frontier(st.size(), 0);
+  for (const Edge& e : inserted_arcs) {
+    frontier[e.src] = 1;
+  }
+  SeedStats stats;
+  for (uint64_t u = 0; u < st.size(); ++u) {
+    if (reset_labels.count(st[u].label) != 0) {
+      st[u] = WccProgram::VertexState{u, 1};
+      ++stats.resets;
+      ++stats.frontier;
+    } else {
+      st[u].changed = frontier[u];
+      stats.frontier += frontier[u];
+    }
+  }
+  return stats;
+}
+
+TEST(SeederTest, WccMatchesReachabilityOracle) {
+  // Random multi-component graphs: per group a random spanning tree (every
+  // tree edge a bridge) plus extra intra-group edges (cycles), parallel
+  // copies and self-loops. Each case deletes a random subset of records,
+  // inserts a few random edges, and sometimes relabels vertices so deleted
+  // edges' endpoints carry different labels.
+  struct Coverage {
+    uint64_t resets = 0, kept = 0, self_loops = 0, parallel = 0, cross_label = 0;
+  } seen;
+  constexpr int kCases = 256;
+  for (int c = 0; c < kCases; ++c) {
+    Rng rng(Mix64(0x5eedu, c));
+    InputGraph raw;
+    raw.num_vertices = 2 + rng.Below(40);
+    const uint64_t n = raw.num_vertices;
+    const uint64_t groups = 1 + rng.Below(std::min<uint64_t>(n, 5));
+    std::vector<std::vector<VertexId>> members(groups);
+    for (VertexId v = 0; v < n; ++v) {
+      members[rng.Below(groups)].push_back(v);
+    }
+    for (const auto& m : members) {
+      for (size_t i = 1; i < m.size(); ++i) {
+        raw.edges.push_back(Edge{m[rng.Below(i)], m[i], 1.0f, kEdgeForward});
+      }
+      for (uint64_t extra = rng.Below(m.size() + 1); extra > 0 && !m.empty(); --extra) {
+        const VertexId u = m[rng.Below(m.size())];
+        switch (rng.Below(3)) {
+          case 0:
+            raw.edges.push_back(Edge{u, m[rng.Below(m.size())], 1.0f, kEdgeForward});
+            break;
+          case 1:
+            raw.edges.push_back(Edge{u, u, 1.0f, kEdgeForward});
+            break;
+          default:
+            if (!raw.edges.empty()) {
+              raw.edges.push_back(raw.edges[rng.Below(raw.edges.size())]);
+            }
+        }
+      }
+    }
+    if (raw.edges.empty()) {
+      raw.edges.push_back(Edge{0, 1, 1.0f, kEdgeForward});
+    }
+
+    // Converged states of the pre-batch graph, optionally perturbed.
+    const std::vector<VertexId> labels = ref::ComponentLabels(MakeUndirected(raw));
+    std::vector<WccProgram::VertexState> states(n);
+    for (VertexId v = 0; v < n; ++v) {
+      states[v] = {labels[v], 0};
+    }
+    if (rng.Below(4) == 0) {
+      for (uint64_t k = 1 + rng.Below(3); k > 0; --k) {
+        states[rng.Below(n)].label = labels[rng.Below(n)];
+      }
+    }
+
+    MutationBatch batch;
+    std::vector<uint8_t> taken(raw.edges.size(), 0);
+    for (uint64_t k = 1 + rng.Below(raw.edges.size()); k > 0; --k) {
+      const uint64_t i = rng.Below(raw.edges.size());
+      if (taken[i] == 0) {
+        taken[i] = 1;
+        batch.deletes.push_back(raw.edges[i]);
+      }
+    }
+    for (uint64_t k = rng.Below(3); k > 0; --k) {
+      batch.inserts.push_back(Edge{rng.Below(n), rng.Below(n), 1.0f, kEdgeForward});
+    }
+    InputGraph new_raw = raw;
+    MutationLog::Apply(&new_raw, batch);
+    const InputGraph new_p = MakeUndirected(new_raw);
+    const std::vector<Edge> ins_arcs = Arcs(batch.inserts);
+
+    std::vector<WccProgram::VertexState> got = states;
+    std::vector<WccProgram::VertexState> want = states;
+    const SeedStats got_stats = SeedWcc(new_p, batch.deletes, ins_arcs, &got);
+    const SeedStats want_stats = ReferenceSeedWcc(new_p, batch.deletes, ins_arcs, &want);
+    ASSERT_EQ(got_stats.resets, want_stats.resets) << "case " << c;
+    ASSERT_EQ(got_stats.frontier, want_stats.frontier) << "case " << c;
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(got[v].label, want[v].label) << "case " << c << " vertex " << v;
+      ASSERT_EQ(got[v].changed, want[v].changed) << "case " << c << " vertex " << v;
+    }
+
+    (want_stats.resets > 0 ? seen.resets : seen.kept) += 1;
+    for (const Edge& d : batch.deletes) {
+      seen.self_loops += d.src == d.dst;
+      seen.cross_label += states[d.src].label != states[d.dst].label;
+      for (const Edge& e : new_raw.edges) {
+        if (SameEdge(d, e) && d.src != d.dst) {
+          ++seen.parallel;  // a surviving copy of a deleted record
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(seen.resets, 0u);
+  EXPECT_GT(seen.kept, 0u);
+  EXPECT_GT(seen.self_loops, 0u);
+  EXPECT_GT(seen.parallel, 0u);
+  EXPECT_GT(seen.cross_label, 0u);
 }
 
 // ------------------------------------------------------- crash replay
