@@ -601,8 +601,8 @@ CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
        [](double ms) {
          auto parts = Partitioning::WithPartitions(4096, 4, kBinnerPartitions);
          RecordArena arena;
-         RecordBinner binner(&parts, sizeof(Edge), kEdgeWireBytes, kBinnerChunkBytes,
-                             &arena, RecordBinner::Format::kEdgeSoA);
+         RecordBinner binner(&parts, kEdgeWireBytes, kBinnerChunkBytes, &arena,
+                             RecordBinner::Format::kEdgeSoA);
          return MeasureNsPerItem([&] { return RunArenaBinnerBatch(&binner); }, ms);
        }},
       // Update-plane pairs (metric keys keep the *_ns_per_op names so the CI
@@ -619,8 +619,7 @@ CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
        [](double ms) {
          auto parts = Partitioning::WithPartitions(4096, 4, kBinnerPartitions);
          RecordArena arena;
-         RecordBinner binner(&parts, sizeof(UpdateRecord<float>), kUpdateWireBytes,
-                             kUpdateChunkBytes, &arena,
+         RecordBinner binner(&parts, kUpdateWireBytes, kUpdateChunkBytes, &arena,
                              RecordBinner::Format::kUpdateSoA, sizeof(float));
          return MeasureNsPerItem([&] { return RunSoaUpdateBatch(&binner); }, ms);
        }},

@@ -48,7 +48,7 @@ class Cluster {
   using G = typename P::GlobalState;
 
   Cluster(ClusterConfig config, P prog)
-      : config_(std::move(config)), prog_(std::move(prog)), sim_(config_.event_queue) {
+      : config_(std::move(config)), prog_(std::move(prog)) {
     CHAOS_CHECK_GT(config_.machines, 0);
     net_ = std::make_unique<Network>(&sim_, config_.machines, config_.net);
     bus_ = std::make_unique<MessageBus>(&sim_, net_.get());
@@ -370,8 +370,8 @@ class Cluster {
           directory_->HostRecord(set, unext[q], target);
         }
         storage_[static_cast<size_t>(target)]->HostAddChunk(
-            set, MakeChunk<Rec>(unext[q]++, wire, std::move(ubins[q])));
-        ubins[q] = {};
+            set, MakeSoaUpdateChunk(unext[q]++, wire, ubins[q], /*arena=*/nullptr));
+        ubins[q].clear();
       };
       for (MachineId m = 0; m < from.config().machines; ++m) {
         StorageEngine* src = from.storage(m);
@@ -381,8 +381,6 @@ class Cluster {
           }
           for (const Chunk& c : *src->HostGetSet(id)) {
             const Chunk loaded = src->HostMaterialize(id, c);
-            // Snapshot chunks may be either layout (kUpdateSoA from the
-            // binner, kAoS from imports); the view spans both.
             const UpdateChunkView view(loaded, sizeof(typename P::UpdateValue));
             for (uint32_t i = 0; i < view.size(); ++i) {
               const Rec r = view.template At<typename P::UpdateValue>(i);

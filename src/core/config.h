@@ -10,7 +10,6 @@
 
 #include "core/steal_policy.h"
 #include "net/network.h"
-#include "sim/event_queue.h"
 #include "sim/fault_injector.h"
 #include "sim/time.h"
 #include "storage/storage_engine.h"
@@ -154,11 +153,6 @@ struct ClusterConfig {
   FaultSchedule faults;
 
   uint64_t seed = 1;
-
-  // Event-queue structure for the cluster's Simulator (sim/event_queue.h).
-  // The pop order is identical for every choice, so results are bitwise
-  // independent of it; kBinaryHeap is kept as the differential golden.
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
 
   int fetch_window() const {
     const int w = static_cast<int>(std::floor(phi * batch_k));

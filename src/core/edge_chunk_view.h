@@ -1,11 +1,11 @@
-// SoA edge-chunk layout + a reader that spans both layouts.
+// The edge-set chunk layout (ChunkLayout::kEdgeSoA) and its reader.
 //
 // Partitioned edge sets (kEdges/kEdgesB) are the hottest read path in the
 // system: every scatter superstep streams every edge chunk. Stored AoS, the
-// per-edge loop strides 24 bytes and the compiler cannot vectorize across
-// the struct. ChunkLayout::kEdgeSoA instead packs four arrays into one
-// payload of identical total size (so model_bytes — the simulated footprint
-// — is unchanged and results stay bitwise identical):
+// per-edge loop would stride 24 bytes and the compiler could not vectorize
+// across the struct. Edge-set chunks instead pack four arrays into one
+// payload of the same total size (model_bytes, the simulated footprint, is
+// the record count times the wire width either way):
 //
 //   offset 0            : uint64_t src[count]
 //   offset 8 * count    : uint64_t dst[count]
@@ -16,16 +16,15 @@
 // (8n, 16n, 20n are multiples of 8/4), given a max_align_t-or-better base —
 // which arena payloads guarantee at 64 bytes (core/record_arena.h).
 //
-// Producers either write records straight into the regions as they bin
-// (core/record_binner.h fills kEdgeSoA blocks in place — no transpose
-// pass) or convert a host-side vector (MakeSoaEdgeChunk). Readers go
-// through EdgeChunkView, which also accepts AoS chunks so mixed layouts
-// coexist (e.g. imported checkpoints next to freshly binned sets).
+// This is the only edge-set layout. Producers either write records straight
+// into the regions as they bin (core/record_binner.h fills kEdgeSoA blocks
+// in place — no transpose pass) or convert a host-side vector
+// (MakeSoaEdgeChunk). Readers go through EdgeChunkView. The input set keeps
+// AoS Edge records, read through ChunkSpan<Edge>.
 #ifndef CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 #define CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -67,23 +66,15 @@ inline Chunk MakeSoaEdgeChunk(uint64_t index, uint64_t model_bytes,
   c.payload_bytes = edges.size() * sizeof(Edge);
   c.layout = ChunkLayout::kEdgeSoA;
   if (!edges.empty()) {
-    std::shared_ptr<uint8_t> payload;
-    if (arena != nullptr) {
-      payload = arena->LeaseShared(c.payload_bytes);
-    } else {
-      payload = std::shared_ptr<uint8_t>(
-          static_cast<uint8_t*>(::operator new(c.payload_bytes,
-                                               std::align_val_t{RecordArena::kAlign})),
-          [](uint8_t* p) { ::operator delete(p, std::align_val_t{RecordArena::kAlign}); });
-    }
+    std::shared_ptr<uint8_t> payload = AlignedPayload(c.payload_bytes, arena);
     TransposeEdgesToSoa(edges.data(), c.count, payload.get());
     c.data = std::shared_ptr<const void>(payload, payload.get());
   }
   return c;
 }
 
-// Zero-copy reader over an edge chunk of either layout. Hot loops branch
-// once on soa() and then run a layout-specific inner loop over raw arrays.
+// Zero-copy reader over a kEdgeSoA chunk: hot loops run over the four raw
+// arrays.
 class EdgeChunkView {
  public:
   explicit EdgeChunkView(const Chunk& c) : count_(c.count) {
@@ -91,43 +82,26 @@ class EdgeChunkView {
       return;
     }
     CHAOS_CHECK(c.data != nullptr);
+    CHAOS_CHECK(c.layout == ChunkLayout::kEdgeSoA);
+    CHAOS_DCHECK(c.payload_bytes == 24ull * count_);
     const auto* base = static_cast<const uint8_t*>(c.data.get());
-    if (c.layout == ChunkLayout::kEdgeSoA) {
-      CHAOS_DCHECK(c.payload_bytes == 24ull * count_);
-      src_ = reinterpret_cast<const VertexId*>(base);
-      dst_ = reinterpret_cast<const VertexId*>(base + 8ull * count_);
-      weight_ = reinterpret_cast<const float*>(base + 16ull * count_);
-      flags_ = reinterpret_cast<const uint32_t*>(base + 20ull * count_);
-    } else {
-      aos_ = reinterpret_cast<const Edge*>(base);
-      CHAOS_DCHECK(reinterpret_cast<uintptr_t>(aos_) % alignof(Edge) == 0);
-    }
+    src_ = reinterpret_cast<const VertexId*>(base);
+    dst_ = reinterpret_cast<const VertexId*>(base + 8ull * count_);
+    weight_ = reinterpret_cast<const float*>(base + 16ull * count_);
+    flags_ = reinterpret_cast<const uint32_t*>(base + 20ull * count_);
   }
 
   uint32_t size() const { return count_; }
-  bool soa() const { return src_ != nullptr; }
 
-  // SoA arrays (valid when soa()).
   const VertexId* src() const { return src_; }
   const VertexId* dst() const { return dst_; }
   const float* weight() const { return weight_; }
   const uint32_t* flags() const { return flags_; }
 
-  // AoS array (valid when !soa()).
-  const Edge* aos() const { return aos_; }
-
-  // Layout-independent materialization of one edge (cold paths / tests).
+  // Materializes one edge (cold paths / tests).
   Edge At(uint32_t i) const {
     CHAOS_DCHECK(i < count_);
-    if (soa()) {
-      Edge e;
-      e.src = src_[i];
-      e.dst = dst_[i];
-      e.weight = weight_[i];
-      e.flags = flags_[i];
-      return e;
-    }
-    return aos_[i];
+    return Edge{src_[i], dst_[i], weight_[i], flags_[i]};
   }
 
  private:
@@ -136,7 +110,6 @@ class EdgeChunkView {
   const VertexId* dst_ = nullptr;
   const float* weight_ = nullptr;
   const uint32_t* flags_ = nullptr;
-  const Edge* aos_ = nullptr;
 };
 
 }  // namespace chaos

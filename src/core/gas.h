@@ -50,6 +50,9 @@ concept GasProgram = requires(const P p) {
   requires std::is_trivially_copyable_v<typename P::Accumulator>;
   requires std::is_trivially_copyable_v<typename P::GlobalState>;
   requires std::is_trivially_copyable_v<typename P::OutputRecord>;
+  // Update chunks pack values right after the 8-byte dst column
+  // (core/update_chunk_view.h), so a value may need at most 8-byte alignment.
+  requires alignof(typename P::UpdateValue) <= 8;
   { P::kNeedsOutDegrees } -> std::convertible_to<bool>;
   { P::kName } -> std::convertible_to<const char*>;
   { p.InitGlobal(uint64_t{}) } -> std::same_as<typename P::GlobalState>;

@@ -30,13 +30,8 @@ class ProgramKernel {
   virtual bool needs_out_degrees() const = 0;
   virtual uint64_t vertex_state_bytes() const = 0;   // sizeof(VertexState)
   virtual uint64_t accum_bytes() const = 0;          // sizeof(Accumulator)
-  virtual uint64_t update_stride_bytes() const = 0;  // sizeof(UpdateRecord<U>)
   virtual uint64_t update_wire_bytes() const = 0;    // modeled wire width
   virtual uint64_t update_value_bytes() const = 0;   // sizeof(UpdateValue)
-  // True when update sets may use ChunkLayout::kUpdateSoA (the packed value
-  // region needs alignof(UpdateValue) <= 8; see core/update_chunk_view.h).
-  // The phase drivers construct kUpdateSoA binners only when this holds.
-  virtual bool update_soa_capable() const = 0;
   virtual uint64_t global_wire_bytes() const = 0;    // sizeof(GlobalState)
 
   // ---- Engine-side aggregator state (the machine's global_/local_ pair).

@@ -209,6 +209,17 @@ class RecordArena {
   std::shared_ptr<State> state_;
 };
 
+// A kAlign-aligned shared payload of `bytes`: leased from `arena` when
+// given, else allocated directly (host-side callers without an engine).
+inline std::shared_ptr<uint8_t> AlignedPayload(uint64_t bytes, RecordArena* arena) {
+  if (arena != nullptr) {
+    return arena->LeaseShared(bytes);
+  }
+  return std::shared_ptr<uint8_t>(
+      static_cast<uint8_t*>(::operator new(bytes, std::align_val_t{RecordArena::kAlign})),
+      [](uint8_t* p) { ::operator delete(p, std::align_val_t{RecordArena::kAlign}); });
+}
+
 }  // namespace chaos
 
 #endif  // CHAOS_CORE_RECORD_ARENA_H_

@@ -1,24 +1,24 @@
-// SoA update-chunk layout + a reader that spans both layouts.
+// The update-set chunk layout (ChunkLayout::kUpdateSoA) and its reader.
 //
 // Update sets (kUpdatesEven/kUpdatesOdd) are the other half of the hot
 // streaming path: every gather superstep reads every update chunk, and the
 // scatter/gather emit loops write every record through RecordBinner. Stored
-// AoS, each UpdateRecord<U> strides sizeof(UpdateRecord<U>) — 16 bytes for
-// a 4-byte value because of alignment padding — and the gather loop cannot
-// vectorize across the struct. ChunkLayout::kUpdateSoA instead packs two
-// regions into one payload (model_bytes — the simulated footprint — is
-// unchanged, so results stay bitwise identical):
+// AoS, each UpdateRecord<U> would stride sizeof(UpdateRecord<U>) — 16 bytes
+// for a 4-byte value because of alignment padding — and the gather loop
+// could not vectorize across the struct. Update chunks instead pack two
+// regions into one payload (model_bytes, the simulated footprint, is the
+// record count times the wire width either way):
 //
 //   offset 0            : VertexId dst[count]
 //   offset 8 * count    : U        value[count]   (packed at sizeof(U))
 //
 // payload_bytes == count * (8 + sizeof(U)) — for 4-byte values that is 12
-// bytes per record instead of 16, a smaller resident footprint on top of
-// the vectorizable layout. The value region starts at a multiple of 8, so
-// it is naturally aligned for any U with alignof(U) <= 8 given an
+// bytes per record instead of 16. The value region starts at a multiple of
+// 8, so it is naturally aligned for any U with alignof(U) <= 8 given an
 // 8-byte-or-better base (arena payloads guarantee 64; core/record_arena.h).
-// Programs whose update value is over-aligned (alignof > 8) stay on kAoS —
-// GasKernel gates the layout on update_soa_capable().
+// The GasProgram concept (core/gas.h) requires that alignment of every
+// update value, so this is the only layout of update sets, update
+// snapshots and the preprocess degree sets.
 //
 // Unlike edges — whose record type the untyped engine core knows — update
 // values are program-defined, so the view is untemplated and parameterized
@@ -45,7 +45,6 @@ namespace chaos {
 template <typename U>
 inline void TransposeUpdatesToSoa(const UpdateRecord<U>* aos, uint32_t n,
                                   uint8_t* out) {
-  static_assert(alignof(U) <= 8, "kUpdateSoA requires alignof(value) <= 8");
   CHAOS_DCHECK(reinterpret_cast<uintptr_t>(out) % alignof(VertexId) == 0);
   auto* dst = reinterpret_cast<VertexId*>(out);
   auto* value = reinterpret_cast<U*>(out + 8ull * n);
@@ -69,24 +68,15 @@ inline Chunk MakeSoaUpdateChunk(uint64_t index, uint64_t model_bytes,
   c.payload_bytes = records.size() * (8ull + sizeof(U));
   c.layout = ChunkLayout::kUpdateSoA;
   if (!records.empty()) {
-    std::shared_ptr<uint8_t> payload;
-    if (arena != nullptr) {
-      payload = arena->LeaseShared(c.payload_bytes);
-    } else {
-      payload = std::shared_ptr<uint8_t>(
-          static_cast<uint8_t*>(::operator new(c.payload_bytes,
-                                               std::align_val_t{RecordArena::kAlign})),
-          [](uint8_t* p) { ::operator delete(p, std::align_val_t{RecordArena::kAlign}); });
-    }
+    std::shared_ptr<uint8_t> payload = AlignedPayload(c.payload_bytes, arena);
     TransposeUpdatesToSoa(records.data(), c.count, payload.get());
     c.data = std::shared_ptr<const void>(payload, payload.get());
   }
   return c;
 }
 
-// Zero-copy reader over an update chunk of either layout. Hot loops branch
-// once on soa() and then run a layout-specific inner loop over raw arrays;
-// layout-agnostic readers (re-binning, wire packing) use DstAt/At.
+// Zero-copy reader over a kUpdateSoA chunk. Hot loops run over the raw
+// dst and value arrays; cold readers (re-binning, tests) use At<U>.
 // `value_bytes` is sizeof(U) for the owning program's update value.
 class UpdateChunkView {
  public:
@@ -96,69 +86,36 @@ class UpdateChunkView {
       return;
     }
     CHAOS_CHECK(c.data != nullptr);
-    base_ = static_cast<const uint8_t*>(c.data.get());
-    if (c.layout == ChunkLayout::kUpdateSoA) {
-      CHAOS_DCHECK(c.payload_bytes == count_ * (8ull + value_bytes_));
-      dst_ = reinterpret_cast<const VertexId*>(base_);
-      values_ = base_ + 8ull * count_;
-    } else {
-      CHAOS_DCHECK(c.layout == ChunkLayout::kAoS);
-      stride_ = c.payload_bytes / count_;
-      CHAOS_DCHECK(stride_ * count_ == c.payload_bytes);
-    }
+    CHAOS_CHECK(c.layout == ChunkLayout::kUpdateSoA);
+    CHAOS_DCHECK(c.payload_bytes == count_ * (8ull + value_bytes_));
+    const auto* base = static_cast<const uint8_t*>(c.data.get());
+    dst_ = reinterpret_cast<const VertexId*>(base);
+    values_ = base + 8ull * count_;
   }
 
   uint32_t size() const { return count_; }
-  bool soa() const { return dst_ != nullptr; }
 
-  // SoA arrays (valid when soa()). values() is the packed value region;
-  // typed readers cast it with values_as<U>().
+  // values_as<U>() is the packed value region, cast to the program's type.
   const VertexId* dst() const { return dst_; }
-  const uint8_t* values() const { return values_; }
   template <typename U>
   const U* values_as() const {
-    static_assert(alignof(U) <= 8, "kUpdateSoA requires alignof(value) <= 8");
     CHAOS_DCHECK(sizeof(U) == value_bytes_);
     return reinterpret_cast<const U*>(values_);
   }
 
-  // AoS array (valid when !soa()).
-  template <typename U>
-  const UpdateRecord<U>* aos() const {
-    CHAOS_DCHECK(!soa());
-    CHAOS_DCHECK(count_ == 0 || stride_ == sizeof(UpdateRecord<U>));
-    return reinterpret_cast<const UpdateRecord<U>*>(base_);
-  }
-
-  // Layout-independent destination id (wire packing, untyped audits).
-  VertexId DstAt(uint32_t i) const {
-    CHAOS_DCHECK(i < count_);
-    if (soa()) {
-      return dst_[i];
-    }
-    VertexId d;
-    std::memcpy(&d, base_ + i * stride_, sizeof(VertexId));
-    return d;
-  }
-
-  // Layout-independent materialization of one record (cold paths / tests).
+  // Materializes one record (cold paths / tests).
   template <typename U>
   UpdateRecord<U> At(uint32_t i) const {
     CHAOS_DCHECK(i < count_);
-    if (soa()) {
-      UpdateRecord<U> r;
-      r.dst = dst_[i];
-      std::memcpy(&r.value, values_ + i * sizeof(U), sizeof(U));
-      return r;
-    }
-    return aos<U>()[i];
+    UpdateRecord<U> r;
+    r.dst = dst_[i];
+    std::memcpy(&r.value, values_ + i * sizeof(U), sizeof(U));
+    return r;
   }
 
  private:
   uint32_t count_ = 0;
   uint64_t value_bytes_ = 0;
-  uint64_t stride_ = 0;  // AoS record stride (payload_bytes / count)
-  const uint8_t* base_ = nullptr;
   const VertexId* dst_ = nullptr;
   const uint8_t* values_ = nullptr;
 };

@@ -130,9 +130,9 @@ class EventFn {
   const Ops* ops_ = nullptr;
 };
 
-// Which event-queue data structure a Simulator (and thus a Cluster) uses.
-// Selected via ClusterConfig::event_queue; kCalendar is the default hot-path
-// structure, kBinaryHeap the differential golden.
+// Which event-queue data structure a Simulator uses. kCalendar is the
+// default and the only one a Cluster runs; kBinaryHeap is kept as the
+// differential golden (tests/sim_test.cc, tests/hotpath_alloc_test.cc).
 enum class EventQueueImpl : uint8_t {
   kBinaryHeap = 0,
   kCalendar = 1,

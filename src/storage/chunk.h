@@ -87,14 +87,15 @@ struct SetIdHash {
 
 std::string SetIdName(const SetId& id);
 
-// In-memory layout of a chunk payload. kAoS is the default: `count` records
-// of the set's record type back to back. kEdgeSoA is the vectorization
-// layout for edge sets: four packed arrays src[count] | dst[count] |
-// weight[count] | flags[count] (see core/edge_chunk_view.h). kUpdateSoA is
-// the analogous layout for update sets: dst[count] followed by the packed
-// update values (see core/update_chunk_view.h). Layout is a payload
-// property — model_bytes (the simulated footprint) is identical for every
-// layout, so the simulation cannot observe the choice.
+// In-memory layout of a chunk payload; each set kind has exactly one.
+// kAoS (`count` records of the set's record type back to back, read
+// through ChunkSpan<T>) is the layout of input, vertex and accumulator
+// chunks. Edge sets are always kEdgeSoA: four packed arrays src[count] |
+// dst[count] | weight[count] | flags[count] (core/edge_chunk_view.h).
+// Update sets, update snapshots and degree sets are always kUpdateSoA:
+// dst[count] followed by the packed values (core/update_chunk_view.h).
+// Layout is a payload property — model_bytes (the simulated footprint) is
+// the record count times the wire width, whatever the in-memory layout.
 enum class ChunkLayout : uint8_t {
   kAoS = 0,
   kEdgeSoA = 1,
@@ -131,7 +132,8 @@ Chunk MakeChunk(uint64_t index, uint64_t model_bytes, std::vector<T> records) {
 
 // Zero-copy typed view of a chunk payload. The caller must know the record
 // type from the set kind (enforced by protocol, checked by tests). Only
-// valid for AoS payloads — SoA edge chunks are read through EdgeChunkView.
+// valid for AoS payloads — edge and update chunks are read through
+// EdgeChunkView and UpdateChunkView.
 template <typename T>
 std::span<const T> ChunkSpan(const Chunk& c) {
   static_assert(std::is_trivially_copyable_v<T>, "chunk records must be POD");

@@ -166,26 +166,26 @@ TEST(HotPathAllocTest, InterleavedPushPopAllocFree) {
 TEST(HotPathAllocTest, BinnerAddWithinBlockAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
   RecordArena arena;
-  using Rec = UpdateRecord<float>;
   // 1 KiB chunks of 16-byte wire records -> 64 records per chunk.
-  RecordBinner binner(&parts, sizeof(Rec), /*record_wire_bytes=*/16,
-                      /*chunk_bytes=*/1 << 10, &arena);
+  RecordBinner binner(&parts, /*record_wire_bytes=*/16, /*chunk_bytes=*/1 << 10, &arena,
+                      RecordBinner::Format::kUpdateSoA, sizeof(float));
   // Warm: fill and park a chunk per partition, then drop the parked chunks
   // so their blocks return to the arena freelist.
   for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
     for (int i = 0; i < 64; ++i) {
-      binner.Add(p, Rec{parts.Base(p), 1.0f});
+      binner.AddUpdate(p, parts.Base(p), 1.0f);
     }
   }
   while (binner.HasPending()) {
     binner.PopPendingForTest();
   }
-  // Steady state: every Add inside a block is memcpy + cursor bump; block
-  // leases are freelist hits. 63 adds per partition — no park, no chunk.
+  // Steady state: every AddUpdate inside a block is a few stores plus a
+  // cursor or staging bump; block leases are freelist hits. 63 adds per
+  // partition — no park, no chunk.
   const uint64_t allocs = CountAllocs([&] {
     for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
       for (int i = 0; i < 63; ++i) {
-        binner.Add(p, Rec{parts.Base(p), 2.0f});
+        binner.AddUpdate(p, parts.Base(p), 2.0f);
       }
     }
   });
@@ -196,8 +196,8 @@ TEST(HotPathAllocTest, BinnerAddWithinBlockAllocFree) {
 TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
   RecordArena arena;
-  RecordBinner binner(&parts, sizeof(Edge), /*record_wire_bytes=*/16,
-                      /*chunk_bytes=*/1 << 10, &arena, RecordBinner::Format::kEdgeSoA);
+  RecordBinner binner(&parts, /*record_wire_bytes=*/16, /*chunk_bytes=*/1 << 10, &arena,
+                      RecordBinner::Format::kEdgeSoA);
   const Edge e{1, 2, 1.0f, 0};
   for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
     for (int i = 0; i < 64; ++i) {
@@ -226,9 +226,8 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   RecordArena arena;
   // 12-byte wire updates, 768-byte chunks -> 64 per chunk (a multiple of
   // the write-combining stage, so the staged NT-store path is exercised).
-  RecordBinner binner(&parts, sizeof(UpdateRecord<float>), /*record_wire_bytes=*/12,
-                      /*chunk_bytes=*/768, &arena, RecordBinner::Format::kUpdateSoA,
-                      /*update_value_bytes=*/sizeof(float));
+  RecordBinner binner(&parts, /*record_wire_bytes=*/12, /*chunk_bytes=*/768, &arena,
+                      RecordBinner::Format::kUpdateSoA, /*update_value_bytes=*/sizeof(float));
   // Warm: park one chunk per partition; keep one parked chunk to scan and
   // let the rest return their blocks to the arena freelist.
   for (PartitionId p = 0; p < parts.num_partitions(); ++p) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "algorithms/basic.h"
 #include "algorithms/runner.h"
@@ -293,6 +294,8 @@ TEST(RecoveryTest, TypeErasedRunnerRecovers) {
 // regenerate. Recovery must therefore (a) carry the crashed run's committed
 // output stream across the restart and (b) restore the checkpoint's
 // update-set snapshot — either omission loses or duplicates forest edges.
+// Same-size recovery copies the snapshot chunk for chunk; rescaled recovery
+// re-bins it by the new partitioning (Cluster::ImportRepartitioned).
 TEST(MachineCrashTest, McstRecoveryPreservesEmittedForestAndInFlightUpdates) {
   RmatOptions opt;
   opt.scale = 8;
@@ -306,13 +309,17 @@ TEST(MachineCrashTest, McstRecoveryPreservesEmittedForestAndInFlightUpdates) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(1, MidRunKillTime(truth.metrics));
-  JobSpec spec = MakeJob("mcst", g, cfg);
-  spec.recover = true;
-  auto recovered = RunJob(spec);
-  ASSERT_TRUE(recovered.recovery.crash_detected);
-  ASSERT_TRUE(recovered.recovery.recovered_from_checkpoint);
-  EXPECT_EQ(recovered.output_records, truth.output_records);
-  EXPECT_NEAR(recovered.scalar, truth.scalar, 1e-2);
+  for (const int replacement_machines : {0, 3}) {
+    SCOPED_TRACE("replacement_machines=" + std::to_string(replacement_machines));
+    JobSpec spec = MakeJob("mcst", g, cfg);
+    spec.recover = true;
+    spec.recovery.replacement_machines = replacement_machines;
+    auto recovered = RunJob(spec);
+    ASSERT_TRUE(recovered.recovery.crash_detected);
+    ASSERT_TRUE(recovered.recovery.recovered_from_checkpoint);
+    EXPECT_EQ(recovered.output_records, truth.output_records);
+    EXPECT_NEAR(recovered.scalar, truth.scalar, 1e-2);
+  }
 }
 
 }  // namespace
