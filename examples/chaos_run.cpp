@@ -40,6 +40,7 @@
 //   chaos_run --trace-preset bursty --trace-jobs 12 --algo wcc --scale 12
 //             --machines 2 --policy priority --quantum 4
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -211,7 +212,13 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   const auto ppm = static_cast<uint64_t>(opt.GetInt("partitions-per-machine"));
   cfg.memory_budget_bytes = std::max<uint64_t>(
       prepared->num_vertices * 48 / (ppm * static_cast<uint64_t>(cfg.machines)) + 1, 4 << 10);
-  cfg.chunk_bytes = static_cast<uint64_t>(opt.GetInt("chunk-kb")) << 10;
+  const int64_t chunk_kb = opt.GetInt("chunk-kb");
+  if (chunk_kb < 1 || static_cast<uint64_t>(chunk_kb) > (UINT64_MAX >> 10)) {
+    std::fprintf(stderr, "--chunk-kb must be an integer >= 1 and < 2^54 (got %lld)\n",
+                 static_cast<long long>(chunk_kb));
+    return std::nullopt;
+  }
+  cfg.chunk_bytes = static_cast<uint64_t>(chunk_kb) << 10;
   if (opt.GetInt("mem-mb") > 0) {
     // Squeeze the enforced buffer-pool budget without touching the
     // partitioning: the record streams stay identical, pressure shows up

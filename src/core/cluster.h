@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -288,116 +289,91 @@ class Cluster {
       }
     }
 
-    // ---- edges: drain every surviving edge chunk and re-bin by the new
-    // partition of the source vertex, mirroring IngestInput's placement.
-    const uint64_t per_edge_chunk =
-        std::max<uint64_t>(1, config_.chunk_bytes / meta.edge_wire_bytes);
-    std::vector<std::vector<Edge>> bins(parts_->num_partitions());
-    std::vector<uint64_t> next_index(parts_->num_partitions(), 0);
+    // ---- edges, then the update snapshot: drain every `source` chunk of
+    // the crashed cluster and re-bin each record by its new partition into
+    // dense per-set chunks of `kind`. Edges go by source vertex, mirroring
+    // IngestInput's placement; updates by destination (they are gathered
+    // at their target).
     Rng rng(HashCombine(config_.seed, 0x4ec0u));
-    auto flush = [&](PartitionId q) {
-      const uint64_t wire = bins[q].size() * meta.edge_wire_bytes;
-      const SetId set{q, SetKind::kEdges};
-      const MachineId target =
-          config_.placement == Placement::kLocalMaster
-              ? parts_->Master(q)
-              : static_cast<MachineId>(rng.Below(static_cast<uint64_t>(config_.machines)));
-      if (directory_ != nullptr) {
-        directory_->HostRecord(set, next_index[q], target);
-      }
-      // Re-binned edge chunks keep the SoA layout the engines expect to
-      // stream (core/edge_chunk_view.h).
-      storage_[static_cast<size_t>(target)]->HostAddChunk(
-          set, MakeSoaEdgeChunk(next_index[q]++, wire, bins[q], /*arena=*/nullptr));
-      bins[q].clear();
-    };
-    for (MachineId m = 0; m < from.config().machines; ++m) {
-      StorageEngine* src = from.storage(m);
-      for (const SetId& id : src->HostListSets()) {
-        if (id.kind != edges_source) {
-          continue;
-        }
-        for (const Chunk& c : *src->HostGetSet(id)) {
-          const Chunk loaded = src->HostMaterialize(id, c);
-          const EdgeChunkView view(loaded);
-          for (uint32_t i = 0; i < view.size(); ++i) {
-            const Edge e = view.At(i);
-            // Validate both endpoints up front: PartitionOf(e.src) would
-            // die with a cryptic range CHECK, and an out-of-range e.dst was
-            // accepted silently — scatter later emits updates to vertices
-            // that do not exist, corrupting the recovered run.
-            CHAOS_CHECK_MSG(
-                e.src < parts_->num_vertices() && e.dst < parts_->num_vertices(),
-                "ImportRepartitioned: edge (" + std::to_string(e.src) + " -> " +
-                    std::to_string(e.dst) + ") references a vertex beyond num_vertices=" +
-                    std::to_string(parts_->num_vertices()));
-            const PartitionId q = parts_->PartitionOf(e.src);
-            bins[q].push_back(e);
-            if (bins[q].size() >= per_edge_chunk) {
-              flush(q);
-            }
-          }
-        }
-      }
-    }
-    for (PartitionId q = 0; q < parts_->num_partitions(); ++q) {
-      if (!bins[q].empty()) {
-        flush(q);
-      }
-    }
-
-    // ---- update snapshot: re-bin each record by the new partition of its
-    // destination vertex (updates are gathered at their target).
-    if (updates_source.has_value()) {
-      using Rec = UpdateRecord<typename P::UpdateValue>;
-      const uint64_t update_wire = UpdateWireBytes<typename P::UpdateValue>(
-          meta.vertex_id_wire_bytes);
-      const uint64_t per_update_chunk =
-          std::max<uint64_t>(1, config_.chunk_bytes / update_wire);
-      std::vector<std::vector<Rec>> ubins(parts_->num_partitions());
+    auto rebin = [&](auto record_tag, SetKind source, SetKind kind, uint64_t record_wire) {
+      using Rec = decltype(record_tag);
+      const uint64_t per_chunk = std::max<uint64_t>(1, config_.chunk_bytes / record_wire);
+      std::vector<std::vector<Rec>> bins(parts_->num_partitions());
       // 64-bit chunk numbering: paper-scale runs with miniaturized
       // chunk_bytes exceed 2^32 sequential chunks per set (Chunk::index is
       // uint64_t for the same reason; tests/core_test.cc pins this).
-      std::vector<uint64_t> unext(parts_->num_partitions(), 0);
-      auto uflush = [&](PartitionId q) {
-        const uint64_t wire = ubins[q].size() * update_wire;
-        const SetId set{q, updates_as};
+      std::vector<uint64_t> next_index(parts_->num_partitions(), 0);
+      auto flush = [&](PartitionId q) {
+        const uint64_t wire = bins[q].size() * record_wire;
+        const SetId set{q, kind};
         const MachineId target =
             config_.placement == Placement::kLocalMaster
                 ? parts_->Master(q)
                 : static_cast<MachineId>(rng.Below(static_cast<uint64_t>(config_.machines)));
         if (directory_ != nullptr) {
-          directory_->HostRecord(set, unext[q], target);
+          directory_->HostRecord(set, next_index[q], target);
         }
-        storage_[static_cast<size_t>(target)]->HostAddChunk(
-            set, MakeSoaUpdateChunk(unext[q]++, wire, ubins[q], /*arena=*/nullptr));
-        ubins[q].clear();
+        // Re-binned chunks keep the SoA layouts the engines expect to
+        // stream (core/edge_chunk_view.h, core/update_chunk_view.h).
+        Chunk chunk;
+        if constexpr (std::is_same_v<Rec, Edge>) {
+          chunk = MakeSoaEdgeChunk(next_index[q]++, wire, bins[q], /*arena=*/nullptr);
+        } else {
+          chunk = MakeSoaUpdateChunk(next_index[q]++, wire, bins[q], /*arena=*/nullptr);
+        }
+        storage_[static_cast<size_t>(target)]->HostAddChunk(set, std::move(chunk));
+        bins[q].clear();
+      };
+      auto add = [&](PartitionId q, const Rec& r) {
+        bins[q].push_back(r);
+        if (bins[q].size() >= per_chunk) {
+          flush(q);
+        }
       };
       for (MachineId m = 0; m < from.config().machines; ++m) {
         StorageEngine* src = from.storage(m);
         for (const SetId& id : src->HostListSets()) {
-          if (id.kind != *updates_source) {
+          if (id.kind != source) {
             continue;
           }
           for (const Chunk& c : *src->HostGetSet(id)) {
             const Chunk loaded = src->HostMaterialize(id, c);
-            const UpdateChunkView view(loaded, sizeof(typename P::UpdateValue));
-            for (uint32_t i = 0; i < view.size(); ++i) {
-              const Rec r = view.template At<typename P::UpdateValue>(i);
-              const PartitionId q = parts_->PartitionOf(r.dst);
-              ubins[q].push_back(r);
-              if (ubins[q].size() >= per_update_chunk) {
-                uflush(q);
+            if constexpr (std::is_same_v<Rec, Edge>) {
+              const EdgeChunkView view(loaded);
+              for (uint32_t i = 0; i < view.size(); ++i) {
+                const Edge e = view.At(i);
+                // Validate both endpoints up front: PartitionOf(e.src) would
+                // die with a cryptic range CHECK, and an out-of-range e.dst
+                // was accepted silently — scatter later emits updates to
+                // vertices that do not exist, corrupting the recovered run.
+                CHAOS_CHECK_MSG(
+                    e.src < parts_->num_vertices() && e.dst < parts_->num_vertices(),
+                    "ImportRepartitioned: edge (" + std::to_string(e.src) + " -> " +
+                        std::to_string(e.dst) + ") references a vertex beyond num_vertices=" +
+                        std::to_string(parts_->num_vertices()));
+                add(parts_->PartitionOf(e.src), e);
+              }
+            } else {
+              const UpdateChunkView view(loaded, sizeof(typename P::UpdateValue));
+              for (uint32_t i = 0; i < view.size(); ++i) {
+                const Rec r = view.template At<typename P::UpdateValue>(i);
+                add(parts_->PartitionOf(r.dst), r);
               }
             }
           }
         }
       }
       for (PartitionId q = 0; q < parts_->num_partitions(); ++q) {
-        if (!ubins[q].empty()) {
-          uflush(q);
+        if (!bins[q].empty()) {
+          flush(q);
         }
       }
+    };
+    rebin(Edge{}, edges_source, SetKind::kEdges, meta.edge_wire_bytes);
+    if (updates_source.has_value()) {
+      using Value = typename P::UpdateValue;
+      rebin(UpdateRecord<Value>{}, *updates_source, updates_as,
+            UpdateWireBytes<Value>(meta.vertex_id_wire_bytes));
     }
   }
 

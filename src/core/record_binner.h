@@ -7,36 +7,41 @@
 // A binner fills one of the two binned set kinds, each in its one chunk
 // layout: edge sets (Format::kEdgeSoA, Add(), core/edge_chunk_view.h) and
 // update sets, update snapshots and degree sets (Format::kUpdateSoA,
-// AddUpdate<U>(), core/update_chunk_view.h). The in-memory record stride
-// follows from the format: sizeof(Edge), or 8 + the program's value width.
+// AddUpdate<U>(), core/update_chunk_view.h). Both layouts are column-major,
+// so one column descriptor drives both: edges are columns of {8, 8, 4, 4}
+// bytes, updates {8, sizeof(U)}, and column c of an n-record region starts
+// at n × (the sum of the earlier widths).
 //
-// Buffering is arena-backed (core/record_arena.h): each partition fills a
-// fixed-capacity 64-byte-aligned block, so the per-record path is one
-// bounds check plus a few fixed-size stores — no std::vector regrowth, and
-// zero heap allocations (tests/hotpath_alloc_test.cc asserts this). Records
-// are written straight into the SoA regions of the block, so each record is
-// stored exactly once, and a full block is parked as a finished Chunk
-// zero-copy: the fill block itself becomes the payload. Only tail chunks
-// (FlushAll with a part-filled block) pay a compaction copy, because SoA
-// region offsets depend on the record count.
+// Every record takes one path. Add()/AddUpdate() only append it to the
+// partition's stage: an L1-resident column-major slot of up to 16 records.
+// When the stage reaches its limit, one flush copies it column by column
+// into the partition's fill block, a fixed-capacity 64-byte-aligned arena
+// block (core/record_arena.h), so the per-record path is a few stores and
+// a count bump with zero heap allocations (tests/hotpath_alloc_test.cc
+// asserts this). A flush that completes the block parks it as a finished
+// Chunk zero-copy: the fill block itself becomes the payload. FlushAll
+// drains part-filled stages through the same flush and parks the
+// part-filled blocks; only those tail chunks pay a compaction copy,
+// because column offsets depend on the record count.
 //
-// Both formats additionally use software write-combining: records are
-// staged 16-at-a-time in a small L1-resident per-partition buffer and
-// flushed to the fill block's SoA regions with non-temporal stores, as
-// whole cache lines per flush (six for edges; 128 B of dsts plus
-// 16 * value_bytes of values for updates). Fill blocks total partitions ×
-// chunk_bytes — far beyond L2 — so plain stores would pay a
-// read-for-ownership miss per line (doubling DRAM traffic) and evict the
-// caller's working set; streaming stores do neither. The NT path needs
-// records_per_chunk to be a multiple of the staging quantum (keeps every
-// flush 16-byte aligned and park boundaries on flush boundaries) and falls
-// back to plain in-place stores otherwise, or when SSE2 is unavailable.
+// Park timing: the stage limit is min(16, records left in the fill block),
+// so a stage never straddles a block and a chunk parks on exactly the Add
+// that fills it. Which FlushPending writes a chunk — and so simulated
+// time — does not depend on the staging.
+//
+// When records_per_chunk is a multiple of 16 and SSE2 is present, every
+// flush is a full stage of 16-byte-aligned columns and moves as whole lines
+// of non-temporal stores. Fill blocks total partitions × chunk_bytes — far
+// beyond L2 — so plain stores would pay a read-for-ownership miss per line
+// (doubling DRAM traffic) and evict the caller's working set; streaming
+// stores do neither. Other geometries flush with a memcpy per column.
 //
 // Add() is synchronous; parked chunks are flushed by the owning coroutine
 // between chunks (FlushPending / FlushAll).
 #ifndef CHAOS_CORE_RECORD_BINNER_H_
 #define CHAOS_CORE_RECORD_BINNER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -69,61 +74,37 @@ class RecordBinner {
   // `record_wire_bytes` is the modeled on-disk/wire width the paper
   // charges. `arena` is the owning engine's arena; null falls back to a
   // private one (host-side and test callers). `update_value_bytes` is
-  // sizeof(U) for Format::kUpdateSoA (the packed value-region stride) and
+  // sizeof(U) for Format::kUpdateSoA (the packed value-column width) and
   // ignored for edges.
   RecordBinner(const Partitioning* parts, uint64_t record_wire_bytes, uint64_t chunk_bytes,
                RecordArena* arena, Format format, uint64_t update_value_bytes = 0)
       : parts_(parts),
-        stride_(format == Format::kEdgeSoA ? sizeof(Edge)
-                                           : sizeof(VertexId) + update_value_bytes),
         record_wire_(record_wire_bytes),
-        value_bytes_(update_value_bytes),
         records_per_chunk_(RecordsPerChunk(chunk_bytes, record_wire_bytes)),
-        fill_bytes_(records_per_chunk_ * stride_),
         format_(format),
-        soa_dst_off_(8ull * records_per_chunk_),
-        soa_weight_off_(16ull * records_per_chunk_),
-        soa_flags_off_(20ull * records_per_chunk_),
-        soa_value_off_(8ull * records_per_chunk_),
-        wc_enabled_(CHAOS_BINNER_HAS_NT_STORES && format == Format::kEdgeSoA &&
-                    records_per_chunk_ % kWcStage == 0),
-        uwc_enabled_(CHAOS_BINNER_HAS_NT_STORES &&
-                     format == Format::kUpdateSoA &&
-                     records_per_chunk_ % kWcStage == 0),
-        bins_(parts->num_partitions()) {
+        columns_(format == Format::kEdgeSoA ? kEdgeColumns
+                                            : Columns{2, {8, update_value_bytes}}),
+        stream_(CHAOS_BINNER_HAS_NT_STORES && records_per_chunk_ % kStage == 0),
+        bins_(parts->num_partitions()),
+        stage_slot_(bins_.size()),
+        stage_count_(bins_.size(), 0),
+        stage_limit_(bins_.size(), FirstLimit()) {
     if (format_ == Format::kUpdateSoA) {
-      CHAOS_CHECK_GT(value_bytes_, 0u);
-    }
-    if (wc_enabled_) {
-      stage_ = std::make_unique<WcStage[]>(bins_.size());
-    }
-    if (uwc_enabled_) {
-      // Update staging is runtime-sized (value width is a program property),
-      // so it lives in one 64-byte-aligned slab: per partition, kWcStage
-      // dsts then kWcStage packed values, the slot rounded up to keep every
-      // partition's dst block 16-byte aligned for the streaming loads.
-      ustage_stride_ = (kUwcDstBytes + kWcStage * value_bytes_ +
-                        (RecordArena::kAlign - 1)) &
-                       ~static_cast<uint64_t>(RecordArena::kAlign - 1);
-      const uint64_t total = ustage_stride_ * bins_.size();
-      ustage_.reset(static_cast<uint8_t*>(
-          ::operator new(total, std::align_val_t{RecordArena::kAlign})));
-      std::memset(ustage_.get(), 0, total);
-      // Per-record path helpers: precomputed slot pointers (no
-      // multiply on the store-address chain) and byte-wide counts (the
-      // whole partition set's counts share one or two cache lines).
-      ustage_slot_ = std::make_unique<uint8_t*[]>(bins_.size());
-      for (size_t p = 0; p < bins_.size(); ++p) {
-        ustage_slot_[p] = ustage_.get() + p * ustage_stride_;
-      }
-      ustage_count_ = std::make_unique<uint8_t[]>(bins_.size());
-      std::memset(ustage_count_.get(), 0, bins_.size());
+      CHAOS_CHECK_GT(update_value_bytes, 0u);
     }
     if (arena == nullptr) {
       own_arena_ = std::make_unique<RecordArena>();
       arena = own_arena_.get();
     }
     arena_ = arena;
+    // One slab of per-partition stage slots, kStage * stride bytes each:
+    // every column run starts 16-byte aligned for the streaming loads, and
+    // the precomputed slot pointers keep the per-record store-address chain
+    // multiply-free.
+    stage_ = arena_->Lease(kStage * columns_.stride() * bins_.size());
+    for (size_t p = 0; p < bins_.size(); ++p) {
+      stage_slot_[p] = stage_.data() + p * kStage * columns_.stride();
+    }
   }
 
   // Chunk capacity in records. Floored at one record per chunk so records
@@ -136,112 +117,47 @@ class RecordBinner {
     return per < 1 ? 1 : per;
   }
 
+  // The whole per-record hot path: four column stores into the stage slot
+  // plus a count bump. Nothing else is read or written per record —
+  // emitted() derives counts from the fills and stage counts instead.
   void Add(PartitionId p, const Edge& record) {
     CHAOS_DCHECK(format_ == Format::kEdgeSoA);
-    // The whole per-record hot path: four field stores plus a cursor bump
-    // (or a staging-buffer append on the write-combining path). Nothing
-    // else (record counts, fill thresholds) is read or written per record —
-    // emitted() derives counts from the cursors and staging fills instead.
-    if (wc_enabled_) {
-      // Write-combining path: stage into the partition's L1-resident
-      // buffer; every 16th record flushes six whole cache lines to the
-      // fill block with non-temporal stores (no read-for-ownership, no
-      // cache pollution from the partitions × chunk_bytes fill set). The
-      // bin itself — and its lease — is only touched at flush time.
-      WcStage& st = stage_[p];
-      const uint32_t s = st.count;
-      st.src[s] = record.src;
-      st.dst[s] = record.dst;
-      st.weight[s] = record.weight;
-      st.flags[s] = record.flags;
-      st.count = s + 1;
-      if (st.count == kWcStage) {
-        FlushStage(p);
-      }
-      return;
-    }
-    Bin& bin = bins_[p];
-    if (bin.cursor == bin.end) {  // unleased bins have cursor == end == null
-      LeaseBin(&bin);
-    }
-    // Store each field straight into its SoA region: the cursor walks the
-    // 8-byte src region, the dst slot sits at a constant offset from it,
-    // and the 4-byte weight/flags slots at half the cursor's progress past
-    // the region base.
-    uint8_t* const cur = bin.cursor;
-    uint8_t* const base = bin.end - soa_dst_off_;
-    const auto half = static_cast<uint64_t>(cur - base) >> 1;
-    *reinterpret_cast<VertexId*>(cur) = record.src;
-    *reinterpret_cast<VertexId*>(cur + soa_dst_off_) = record.dst;
-    *reinterpret_cast<float*>(base + soa_weight_off_ + half) = record.weight;
-    *reinterpret_cast<uint32_t*>(base + soa_flags_off_ + half) = record.flags;
-    bin.cursor = cur + sizeof(VertexId);
-    if (bin.cursor == bin.end) {
-      Park(p);
-    }
+    uint8_t* const slot = stage_slot_[p];
+    const uint32_t s = stage_count_[p];
+    reinterpret_cast<VertexId*>(slot)[s] = record.src;
+    reinterpret_cast<VertexId*>(slot + kStage * kEdgeColumns.offset(1))[s] = record.dst;
+    reinterpret_cast<float*>(slot + kStage * kEdgeColumns.offset(2))[s] = record.weight;
+    reinterpret_cast<uint32_t*>(slot + kStage * kEdgeColumns.offset(3))[s] = record.flags;
+    Staged(p, s + 1);
   }
 
   // Update-record hot path: the kernels' emit lambdas call this instead of
   // materializing an UpdateRecord<U>, so dst and value go straight into
-  // their regions (no padded AoS temp).
+  // their stage columns (no padded AoS temp).
   template <typename U>
   void AddUpdate(PartitionId p, VertexId dst, const U& value) {
     static_assert(std::is_trivially_copyable_v<U>, "binned records must be POD");
     CHAOS_DCHECK(format_ == Format::kUpdateSoA);
-    CHAOS_DCHECK(sizeof(U) == value_bytes_);
-    if (uwc_enabled_) {
-      // Write-combining path, mirroring the edge staging: per-record
-      // stores land in the partition's L1-resident slot; every 16th
-      // record streams whole lines into the fill block.
-      uint8_t* const slot = ustage_slot_[p];
-      const uint32_t s = ustage_count_[p];
-      reinterpret_cast<VertexId*>(slot)[s] = dst;
-      *reinterpret_cast<U*>(slot + kUwcDstBytes + s * sizeof(U)) = value;
-      ustage_count_[p] = static_cast<uint8_t>(s + 1);
-      if (s + 1 == kWcStage) {
-        FlushUpdateStage(p);
-      }
-      return;
-    }
-    Bin& bin = bins_[p];
-    if (bin.cursor == bin.end) {
-      LeaseBin(&bin);
-    }
-    // The cursor walks the 8-byte dst region; the value slot sits in the
-    // packed region at the same record index.
-    uint8_t* const cur = bin.cursor;
-    uint8_t* const base = bin.end - soa_value_off_;
-    const auto idx = static_cast<uint64_t>(cur - base) >> 3;
-    *reinterpret_cast<VertexId*>(cur) = dst;
-    *reinterpret_cast<U*>(base + soa_value_off_ + idx * sizeof(U)) = value;
-    bin.cursor = cur + sizeof(VertexId);
-    if (bin.cursor == bin.end) {
-      Park(p);
-    }
+    CHAOS_DCHECK(sizeof(U) == columns_.width[1]);
+    uint8_t* const slot = stage_slot_[p];
+    const uint32_t s = stage_count_[p];
+    reinterpret_cast<VertexId*>(slot)[s] = dst;
+    reinterpret_cast<U*>(slot + kStage * sizeof(VertexId))[s] = value;
+    Staged(p, s + 1);
   }
 
   bool HasPending() const { return pending_head_ < pending_.size(); }
 
-  // Records accepted so far: everything parked plus the partial fills. The
-  // per-bin sum keeps this O(partitions), which is fine for its once-per-
-  // phase metrics callers and keeps the per-record path free of counters.
+  // Records accepted so far: everything parked plus the partial fills and
+  // stages. The per-bin sum keeps this O(partitions), which is fine for its
+  // once-per-phase metrics callers and keeps the per-record path free of
+  // counters.
   uint64_t emitted() const {
-    uint64_t filling = 0;
-    for (const Bin& bin : bins_) {
-      filling += static_cast<uint64_t>(bin.cursor - bin.block.data());
+    uint64_t pending = 0;
+    for (size_t p = 0; p < bins_.size(); ++p) {
+      pending += bins_[p].filled + stage_count_[p];
     }
-    uint64_t staged = 0;
-    if (wc_enabled_) {
-      for (size_t p = 0; p < bins_.size(); ++p) {
-        staged += stage_[p].count;
-      }
-    }
-    if (uwc_enabled_) {
-      for (size_t p = 0; p < bins_.size(); ++p) {
-        staged += ustage_count_[p];
-      }
-    }
-    return parked_records_ + filling / sizeof(VertexId) + staged;
+    return parked_records_ + pending;
   }
   const RecordArena& arena() const { return *arena_; }
 
@@ -283,194 +199,105 @@ class RecordBinner {
     co_await FlushPending(writer, kind);
   }
 
-  // Test hook: parks every partial fill — including write-combining tails
-  // still sitting in staging buffers — without needing a ChunkWriter.
+  // Test hook: parks every partial fill — including tails still sitting in
+  // stages — without needing a ChunkWriter.
   void ParkAllForTest() { ParkPartialFills(); }
 
  private:
+  // Records per stage, and the flush quantum of the streaming path.
+  static constexpr uint32_t kStage = 16;
+
+  // A format's column widths in bytes, in layout order. Column c of an
+  // n-record region starts at n * offset(c), the sum of the earlier widths.
+  struct Columns {
+    uint32_t count;
+    uint64_t width[4];
+    constexpr uint64_t offset(uint32_t c) const {
+      uint64_t sum = 0;
+      for (uint32_t i = 0; i < c; ++i) {
+        sum += width[i];
+      }
+      return sum;
+    }
+    constexpr uint64_t stride() const { return offset(count); }
+  };
+  // kEdgeSoA: src, dst, weight, flags (core/edge_chunk_view.h). kUpdateSoA
+  // is {dst, value} of {8, sizeof(U)} (core/update_chunk_view.h).
+  static constexpr Columns kEdgeColumns{4, {8, 8, 4, 4}};
+
   struct Bin {
-    // Hot pair, first in the struct: Add() touches nothing else until the
-    // block fills. An unleased bin has cursor == end == nullptr.
-    uint8_t* cursor = nullptr;  // next write position in the fill block
-    uint8_t* end = nullptr;     // end of the cursor's 8-byte src/dst region
-    RecordArena::Block block;   // owns the fixed-capacity fill buffer
+    RecordArena::Block block;  // the fill block; leased by the first flush
+    uint64_t filled = 0;       // records flushed into the block
   };
 
-  // Per-partition write-combining staging buffer (kEdgeSoA NT path): one
-  // flush quantum of records, SoA, 16-byte aligned for the streaming
-  // copies. All partitions' buffers together stay L1-resident (384 bytes
-  // per partition), which is the point: per-record stores land here, and
-  // only whole lines ever travel to the (cache-bypassing) fill blocks.
-  static constexpr uint32_t kWcStage = 16;
-  struct WcStage {
-    uint32_t count = 0;  // records currently staged
-    alignas(16) VertexId src[kWcStage];
-    alignas(16) VertexId dst[kWcStage];
-    alignas(16) float weight[kWcStage];
-    alignas(16) uint32_t flags[kWcStage];
-  };
+  uint8_t FirstLimit() const {
+    return static_cast<uint8_t>(std::min<uint64_t>(kStage, records_per_chunk_));
+  }
 
-  void LeaseBin(Bin* bin) {
-    bin->block = arena_->Lease(fill_bytes_);
-    bin->cursor = bin->block.data();
-    // The leased block may be a larger pow2 class; the chunk boundary is
-    // still records_per_chunk_ so chunk record counts are
-    // capacity-independent. The cursor walks the 8-byte src/dst region, so
-    // the boundary is that region's end, not fill_bytes_.
-    bin->end = bin->cursor + records_per_chunk_ * sizeof(VertexId);
+  void Staged(PartitionId p, uint32_t count) {
+    // Read the limit before the count store: a byte store may alias any
+    // member, so reading after it would reload stage_limit_'s data pointer.
+    const bool full = count == stage_limit_[p];
+    stage_count_[p] = static_cast<uint8_t>(count);
+    if (full) {
+      Flush(p);
+    }
+  }
+
+  // Moves the partition's stage into its fill block column by column:
+  // streaming stores when the geometry allows it and the stage is full
+  // (all runs then start 16-byte aligned: the block base is 64-byte
+  // aligned, records_per_chunk_ and the fill are multiples of kStage, and
+  // a 16-record run of any width is a whole number of 16-byte vectors),
+  // one memcpy per column otherwise. Parks the block once it is full.
+  void Flush(PartitionId p) {
+    Bin& bin = bins_[p];
+    if (!bin.block) {
+      bin.block = arena_->Lease(records_per_chunk_ * columns_.stride());
+    }
+    const uint32_t n = stage_count_[p];
+    uint64_t offset = 0;
+    for (uint32_t c = 0; c < columns_.count; offset += columns_.width[c++]) {
+      const uint8_t* const from = stage_slot_[p] + kStage * offset;
+      uint8_t* const to =
+          bin.block.data() + records_per_chunk_ * offset + bin.filled * columns_.width[c];
+#if CHAOS_BINNER_HAS_NT_STORES
+      if (stream_ && n == kStage) {
+        const auto* s = reinterpret_cast<const __m128i*>(from);
+        auto* d = reinterpret_cast<__m128i*>(to);
+        for (uint64_t k = 0; k < kStage * columns_.width[c] / 16; ++k) {
+          _mm_stream_si128(d + k, _mm_load_si128(s + k));
+        }
+        continue;
+      }
+#endif
+      std::memcpy(to, from, n * columns_.width[c]);
+    }
+    bin.filled += n;
+    stage_count_[p] = 0;
+    if (bin.filled == records_per_chunk_) {
+      Park(p);
+    } else {
+      stage_limit_[p] =
+          static_cast<uint8_t>(std::min<uint64_t>(kStage, records_per_chunk_ - bin.filled));
+    }
   }
 
   void ParkPartialFills() {
     for (PartitionId p = 0; p < bins_.size(); ++p) {
-      if (wc_enabled_) {
-        DrainStagePlain(p);  // staged records become part of the tail fill
+      if (stage_count_[p] != 0) {
+        Flush(p);  // below its limit, so the block stays part-filled
       }
-      if (uwc_enabled_) {
-        DrainUpdateStagePlain(p);
-      }
-      if (bins_[p].cursor != bins_[p].block.data()) {  // partial fill
+      if (bins_[p].filled != 0) {
         Park(p);
       }
     }
   }
 
-  // Flushes a full staging buffer to the partition's fill block as six
-  // whole cache lines of non-temporal stores: two 128-byte runs (src, dst)
-  // and two 64-byte runs (weight, flags). All destinations stay 16-byte
-  // aligned because the block base is 64-byte aligned, flushes advance in
-  // kWcStage-record quanta, and the region offsets are multiples of
-  // 8 * records_per_chunk_ with records_per_chunk_ % kWcStage == 0.
-  void FlushStage(PartitionId p) {
-#if CHAOS_BINNER_HAS_NT_STORES
-    Bin& bin = bins_[p];
-    if (bin.cursor == bin.end) {
-      LeaseBin(&bin);
-    }
-    WcStage& st = stage_[p];
-    uint8_t* const cur = bin.cursor;
-    uint8_t* const base = bin.end - soa_dst_off_;  // == block start
-    const auto half = static_cast<uint64_t>(cur - base) >> 1;
-    const auto* s_src = reinterpret_cast<const __m128i*>(st.src);
-    const auto* s_dst = reinterpret_cast<const __m128i*>(st.dst);
-    auto* d_src = reinterpret_cast<__m128i*>(cur);
-    auto* d_dst = reinterpret_cast<__m128i*>(cur + soa_dst_off_);
-    for (uint32_t k = 0; k < kWcStage / 2; ++k) {
-      _mm_stream_si128(d_src + k, _mm_load_si128(s_src + k));
-      _mm_stream_si128(d_dst + k, _mm_load_si128(s_dst + k));
-    }
-    const auto* s_weight = reinterpret_cast<const __m128i*>(st.weight);
-    const auto* s_flags = reinterpret_cast<const __m128i*>(st.flags);
-    auto* d_weight = reinterpret_cast<__m128i*>(base + soa_weight_off_ + half);
-    auto* d_flags = reinterpret_cast<__m128i*>(base + soa_flags_off_ + half);
-    for (uint32_t k = 0; k < kWcStage / 4; ++k) {
-      _mm_stream_si128(d_weight + k, _mm_load_si128(s_weight + k));
-      _mm_stream_si128(d_flags + k, _mm_load_si128(s_flags + k));
-    }
-    st.count = 0;
-    bin.cursor = cur + kWcStage * sizeof(VertexId);
-    if (bin.cursor == bin.end) {
-      Park(p);
-    }
-#else
-    (void)p;
-#endif
-  }
-
-  // Writes a part-filled staging buffer into the fill block with plain
-  // stores (tail records at FlushAll time — cold path). The cursor sits on
-  // a flush boundary, so the fill can't complete mid-drain.
-  void DrainStagePlain(PartitionId p) {
-    WcStage& st = stage_[p];
-    if (st.count == 0) {
-      return;
-    }
-    Bin& bin = bins_[p];
-    if (bin.cursor == bin.end) {
-      LeaseBin(&bin);
-    }
-    uint8_t* const base = bin.end - soa_dst_off_;
-    for (uint32_t i = 0; i < st.count; ++i) {
-      uint8_t* const cur = bin.cursor;
-      const auto half = static_cast<uint64_t>(cur - base) >> 1;
-      *reinterpret_cast<VertexId*>(cur) = st.src[i];
-      *reinterpret_cast<VertexId*>(cur + soa_dst_off_) = st.dst[i];
-      *reinterpret_cast<float*>(base + soa_weight_off_ + half) = st.weight[i];
-      *reinterpret_cast<uint32_t*>(base + soa_flags_off_ + half) = st.flags[i];
-      bin.cursor = cur + sizeof(VertexId);
-    }
-    CHAOS_DCHECK(bin.cursor < bin.end);
-    st.count = 0;
-  }
-
-  // Flushes a full update staging slot to the partition's fill block with
-  // non-temporal stores: two cache lines of dsts plus kWcStage packed
-  // values (16 * value_bytes, always a 16-byte multiple). Alignment mirrors
-  // the edge path: the block base is 64-byte aligned, flushes advance in
-  // kWcStage-record quanta, and the value-region offset is a multiple of
-  // 8 * records_per_chunk_ with records_per_chunk_ % kWcStage == 0.
-  void FlushUpdateStage(PartitionId p) {
-#if CHAOS_BINNER_HAS_NT_STORES
-    Bin& bin = bins_[p];
-    if (bin.cursor == bin.end) {
-      LeaseBin(&bin);
-    }
-    const uint8_t* const slot = ustage_slot_[p];
-    uint8_t* const cur = bin.cursor;
-    uint8_t* const base = bin.end - soa_value_off_;  // == block start
-    const auto idx = static_cast<uint64_t>(cur - base) >> 3;
-    const auto* s_dst = reinterpret_cast<const __m128i*>(slot);
-    auto* d_dst = reinterpret_cast<__m128i*>(cur);
-    for (uint32_t k = 0; k < kWcStage / 2; ++k) {
-      _mm_stream_si128(d_dst + k, _mm_load_si128(s_dst + k));
-    }
-    const auto* s_val = reinterpret_cast<const __m128i*>(slot + kUwcDstBytes);
-    auto* d_val =
-        reinterpret_cast<__m128i*>(base + soa_value_off_ + idx * value_bytes_);
-    const auto val_vecs = static_cast<uint32_t>(kWcStage * value_bytes_ / 16);
-    for (uint32_t k = 0; k < val_vecs; ++k) {
-      _mm_stream_si128(d_val + k, _mm_load_si128(s_val + k));
-    }
-    ustage_count_[p] = 0;
-    bin.cursor = cur + kWcStage * sizeof(VertexId);
-    if (bin.cursor == bin.end) {
-      Park(p);
-    }
-#else
-    (void)p;
-#endif
-  }
-
-  // Writes a part-filled update staging slot into the fill block with plain
-  // stores (tail records at FlushAll time — cold path).
-  void DrainUpdateStagePlain(PartitionId p) {
-    const uint32_t n = ustage_count_[p];
-    if (n == 0) {
-      return;
-    }
-    Bin& bin = bins_[p];
-    if (bin.cursor == bin.end) {
-      LeaseBin(&bin);
-    }
-    const uint8_t* const slot = ustage_slot_[p];
-    const auto* s_dst = reinterpret_cast<const VertexId*>(slot);
-    const uint8_t* const s_val = slot + kUwcDstBytes;
-    uint8_t* const base = bin.end - soa_value_off_;
-    for (uint32_t i = 0; i < n; ++i) {
-      uint8_t* const cur = bin.cursor;
-      const auto idx = static_cast<uint64_t>(cur - base) >> 3;
-      *reinterpret_cast<VertexId*>(cur) = s_dst[i];
-      std::memcpy(base + soa_value_off_ + idx * value_bytes_,
-                  s_val + i * value_bytes_, value_bytes_);
-      bin.cursor = cur + sizeof(VertexId);
-    }
-    CHAOS_DCHECK(bin.cursor < bin.end);
-    ustage_count_[p] = 0;
-  }
-
   // Finishes the partition's fill block as a pending chunk.
   void Park(PartitionId p) {
 #if CHAOS_BINNER_HAS_NT_STORES
-    if (wc_enabled_ || uwc_enabled_) {
+    if (stream_) {
       // Drain the write-combining buffers before the payload is published:
       // NT stores are weakly ordered, and the chunk may be consumed on
       // another thread.
@@ -478,93 +305,54 @@ class RecordBinner {
     }
 #endif
     Bin& bin = bins_[p];
-    const auto count = static_cast<uint32_t>(
-        static_cast<uint64_t>(bin.cursor - bin.block.data()) / sizeof(VertexId));
+    const auto count = static_cast<uint32_t>(bin.filled);
     parked_records_ += count;
     Chunk chunk;
     chunk.index = next_index_++;
     chunk.model_bytes = count * record_wire_;
     chunk.count = count;
-    chunk.payload_bytes = count * stride_;
+    chunk.payload_bytes = count * columns_.stride();
     chunk.layout =
         format_ == Format::kEdgeSoA ? ChunkLayout::kEdgeSoA : ChunkLayout::kUpdateSoA;
     if (count == records_per_chunk_) {
-      // Full block: the in-place SoA fill already is the payload; a fresh
-      // block is leased on the partition's next Add.
+      // Full block: the in-place fill already is the payload; the next
+      // flush leases a fresh block.
       chunk.data = std::move(bin.block).ToShared();
     } else {
-      // Tail chunk: region offsets depend on the count, so compact the
-      // capacity-offset regions into an exact-count payload. Rare — only
-      // FlushAll parks part-filled blocks.
+      // Tail chunk: move each column from its capacity-based offset in the
+      // fill block to its count-based one in an exact-count payload. Rare —
+      // only FlushAll parks part-filled blocks.
       std::shared_ptr<uint8_t> payload = arena_->LeaseShared(chunk.payload_bytes);
-      if (format_ == Format::kEdgeSoA) {
-        CompactSoaTail(bin.block.data(), count, payload.get());
-      } else {
-        CompactUpdateSoaTail(bin.block.data(), count, payload.get());
+      uint64_t offset = 0;
+      for (uint32_t c = 0; c < columns_.count; offset += columns_.width[c++]) {
+        std::memcpy(payload.get() + count * offset,
+                    bin.block.data() + records_per_chunk_ * offset, count * columns_.width[c]);
       }
       chunk.data = std::shared_ptr<const void>(payload, payload.get());
     }
     bin = Bin{};
+    stage_limit_[p] = FirstLimit();
     pending_.emplace_back(p, std::move(chunk));
   }
 
-  // Copies the four part-filled SoA regions (at capacity-based offsets in
-  // the fill block) into `out` at count-based offsets.
-  void CompactSoaTail(const uint8_t* block, uint32_t count, uint8_t* out) const {
-    std::memcpy(out, block, 8ull * count);
-    std::memcpy(out + 8ull * count, block + soa_dst_off_, 8ull * count);
-    std::memcpy(out + 16ull * count, block + soa_weight_off_, 4ull * count);
-    std::memcpy(out + 20ull * count, block + soa_flags_off_, 4ull * count);
-  }
-
-  // kUpdateSoA analogue: two regions, dsts then packed values.
-  void CompactUpdateSoaTail(const uint8_t* block, uint32_t count,
-                            uint8_t* out) const {
-    std::memcpy(out, block, 8ull * count);
-    std::memcpy(out + 8ull * count, block + soa_value_off_,
-                value_bytes_ * count);
-  }
-
-  struct AlignedSlabDelete {
-    void operator()(uint8_t* p) const {
-      ::operator delete(p, std::align_val_t{RecordArena::kAlign});
-    }
-  };
-
   const Partitioning* parts_;
-  // In-memory bytes per record: sizeof(Edge), or 8 + value_bytes_ packed.
-  uint64_t stride_;
   uint64_t record_wire_;
-  // sizeof(U) for kUpdateSoA (packed value-region stride); 0 otherwise.
-  uint64_t value_bytes_;
   uint64_t records_per_chunk_;
-  uint64_t fill_bytes_;
   Format format_;
-  // SoA region offsets within a full fill block (capacity-based).
-  uint64_t soa_dst_off_;
-  uint64_t soa_weight_off_;
-  uint64_t soa_flags_off_;
-  uint64_t soa_value_off_;  // kUpdateSoA value region (== 8 * capacity)
-  // True when the kEdgeSoA / kUpdateSoA fill runs through the respective
-  // write-combining staging path (SSE2 present and records_per_chunk_ a
-  // staging-quantum multiple).
-  bool wc_enabled_;
-  bool uwc_enabled_;
+  Columns columns_;
+  // True when every flush is a full stage of streaming stores (SSE2
+  // present and records_per_chunk_ a kStage multiple).
+  bool stream_;
   RecordArena* arena_ = nullptr;
   std::unique_ptr<RecordArena> own_arena_;
   std::vector<Bin> bins_;
-  std::unique_ptr<WcStage[]> stage_;  // one per partition; null unless wc_enabled_
-  // Update staging slab (uwc_enabled_ only): bins_.size() slots of
-  // ustage_stride_ bytes, each kWcStage dsts followed by kWcStage packed
-  // values; fill counts live separately so slots stay store-only.
-  // ustage_slot_ caches each partition's slot address (keeps the
-  // per-record store-address chain multiply-free) and the byte-wide
-  // counts pack the whole partition set into one or two cache lines.
-  static constexpr uint64_t kUwcDstBytes = kWcStage * sizeof(VertexId);
-  uint64_t ustage_stride_ = 0;
-  std::unique_ptr<uint8_t, AlignedSlabDelete> ustage_;
-  std::unique_ptr<uint8_t*[]> ustage_slot_;
-  std::unique_ptr<uint8_t[]> ustage_count_;
+  // The stage slab, each partition's slot in it, and the byte-wide stage
+  // fill counts and flush limits (the whole partition set's counts share
+  // one or two cache lines).
+  RecordArena::Block stage_;
+  std::vector<uint8_t*> stage_slot_;
+  std::vector<uint8_t> stage_count_;
+  std::vector<uint8_t> stage_limit_;
   // Drained front-to-back by FlushPending; vector + head cursor instead of
   // a deque so steady-state parking reuses capacity.
   std::vector<std::pair<PartitionId, Chunk>> pending_;

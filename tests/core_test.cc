@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/update_chunk_view.h"
 #include "graph/generators.h"
 #include "graph/ref/reference.h"
+#include "util/rng.h"
 
 namespace chaos {
 namespace {
@@ -158,6 +160,96 @@ TEST(RecordBinnerTest, IndexCrossesThirtyTwoBitsWithoutWrapping) {
   EXPECT_EQ(second.second.index, 1ull << 32);  // not 0
   static_assert(std::is_same_v<decltype(Chunk::index), uint64_t>);
 }
+
+// Geometry battery: both formats x records_per_chunk over a seeded record
+// stream into three partitions. Multiples of 16 flush whole stages (with
+// streaming stores under SSE2); the rest flush with memcpy and shrink the
+// last stage of every block, the geometry of 12-byte BFS/WCC updates.
+class RecordBinnerGeometryTest
+    : public ::testing::TestWithParam<std::tuple<RecordBinner::Format, uint64_t>> {};
+
+TEST_P(RecordBinnerGeometryTest, ParksInOrderOnTheFillingAdd) {
+  const auto [format, per_chunk] = GetParam();
+  const bool edges = format == RecordBinner::Format::kEdgeSoA;
+  constexpr uint32_t kParts = 3;
+  auto parts = Partitioning::WithPartitions(300, 1, kParts);
+  // Edges bin at 16 wire bytes, updates like BFS's: a 4-byte wire id plus
+  // an 8-byte value (stored as 8 + 8).
+  const uint64_t wire = edges ? 16 : 12;
+  RecordBinner binner(&parts, wire, per_chunk * wire, /*arena=*/nullptr, format,
+                      edges ? 0 : sizeof(uint64_t));
+  // Updates are kept as Edge{value, dst}, so one comparison serves both.
+  std::vector<Edge> input[kParts];
+  std::vector<Edge> parked[kParts];
+  uint64_t fill[kParts] = {};
+  auto read = [&](const Chunk& c) {
+    std::vector<Edge> out;
+    if (edges) {
+      const EdgeChunkView view(c);
+      for (uint32_t i = 0; i < view.size(); ++i) {
+        out.push_back(view.At(i));
+      }
+    } else {
+      const UpdateChunkView view(c, sizeof(uint64_t));
+      for (uint32_t i = 0; i < view.size(); ++i) {
+        const auto r = view.At<uint64_t>(i);
+        out.push_back(Edge{r.value, r.dst, 0.0f, 0});
+      }
+    }
+    return out;
+  };
+  Rng rng(HashCombine(per_chunk, edges));
+  const uint64_t n = 40 * per_chunk + 11;
+  for (uint64_t i = 0; i < n; ++i) {
+    const auto p = static_cast<PartitionId>(rng.Below(kParts));
+    Edge e{rng.Next(), parts.Base(p) + rng.Below(parts.Count(p)), 0.0f, 0};
+    if (edges) {
+      e.weight = static_cast<float>(rng.Below(1000)) * 0.25f;
+      e.flags = static_cast<uint32_t>(rng.Next());
+      binner.Add(p, e);
+    } else {
+      binner.AddUpdate(p, e.dst, e.src);
+    }
+    input[p].push_back(e);
+    EXPECT_EQ(binner.emitted(), i + 1);
+    fill[p] = (fill[p] + 1) % per_chunk;
+    // Park timing: a chunk parks on exactly the Add that fills its block.
+    ASSERT_EQ(binner.HasPending(), fill[p] == 0) << "add " << i;
+    if (fill[p] == 0) {
+      const auto [q, chunk] = binner.PopPendingForTest();
+      EXPECT_EQ(q, p);
+      EXPECT_EQ(chunk.count, per_chunk);  // every non-tail chunk is full
+      const std::vector<Edge> records = read(chunk);
+      parked[p].insert(parked[p].end(), records.begin(), records.end());
+      EXPECT_FALSE(binner.HasPending());
+    }
+  }
+  binner.ParkAllForTest();
+  EXPECT_EQ(binner.emitted(), n);
+  // One exact-count tail per partition with a part-filled block.
+  while (binner.HasPending()) {
+    const auto [p, chunk] = binner.PopPendingForTest();
+    EXPECT_EQ(chunk.count, fill[p]) << "partition " << p;
+    fill[p] = 0;
+    const std::vector<Edge> records = read(chunk);
+    parked[p].insert(parked[p].end(), records.begin(), records.end());
+  }
+  for (uint32_t p = 0; p < kParts; ++p) {
+    ASSERT_EQ(parked[p].size(), input[p].size()) << "partition " << p;
+    for (size_t i = 0; i < input[p].size(); ++i) {
+      ASSERT_EQ(parked[p][i].src, input[p][i].src) << "partition " << p << " record " << i;
+      ASSERT_EQ(parked[p][i].dst, input[p][i].dst) << "partition " << p << " record " << i;
+      ASSERT_EQ(parked[p][i].weight, input[p][i].weight);
+      ASSERT_EQ(parked[p][i].flags, input[p][i].flags);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FormatsByChunkCapacity, RecordBinnerGeometryTest,
+    ::testing::Combine(::testing::Values(RecordBinner::Format::kEdgeSoA,
+                                         RecordBinner::Format::kUpdateSoA),
+                       ::testing::Values<uint64_t>(1, 5, 16, 17, 37, 64)));
 
 // ------------------------------------------------- arena & chunk alignment
 

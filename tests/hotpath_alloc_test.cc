@@ -163,58 +163,68 @@ TEST(HotPathAllocTest, InterleavedPushPopAllocFree) {
   }
 }
 
+// Two geometries per format: 1 KiB chunks of 16-byte wire records (64 per
+// chunk, whole 16-record stages) and of 12-byte wire records (85 per chunk,
+// not a multiple of 16, so every block ends in a shorter stage).
+constexpr uint64_t kBinnerWireBytes[] = {16, 12};
+
 TEST(HotPathAllocTest, BinnerAddWithinBlockAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
-  RecordArena arena;
-  // 1 KiB chunks of 16-byte wire records -> 64 records per chunk.
-  RecordBinner binner(&parts, /*record_wire_bytes=*/16, /*chunk_bytes=*/1 << 10, &arena,
-                      RecordBinner::Format::kUpdateSoA, sizeof(float));
-  // Warm: fill and park a chunk per partition, then drop the parked chunks
-  // so their blocks return to the arena freelist.
-  for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-    for (int i = 0; i < 64; ++i) {
-      binner.AddUpdate(p, parts.Base(p), 1.0f);
-    }
-  }
-  while (binner.HasPending()) {
-    binner.PopPendingForTest();
-  }
-  // Steady state: every AddUpdate inside a block is a few stores plus a
-  // cursor or staging bump; block leases are freelist hits. 63 adds per
-  // partition — no park, no chunk.
-  const uint64_t allocs = CountAllocs([&] {
+  for (const uint64_t wire : kBinnerWireBytes) {
+    RecordArena arena;
+    RecordBinner binner(&parts, wire, /*chunk_bytes=*/1 << 10, &arena,
+                        RecordBinner::Format::kUpdateSoA, sizeof(float));
+    const auto per_chunk = static_cast<int>(RecordBinner::RecordsPerChunk(1 << 10, wire));
+    // Warm: fill and park a chunk per partition, then drop the parked
+    // chunks so their blocks return to the arena freelist.
     for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-      for (int i = 0; i < 63; ++i) {
-        binner.AddUpdate(p, parts.Base(p), 2.0f);
+      for (int i = 0; i < per_chunk; ++i) {
+        binner.AddUpdate(p, parts.Base(p), 1.0f);
       }
     }
-  });
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_FALSE(binner.HasPending());
+    while (binner.HasPending()) {
+      binner.PopPendingForTest();
+    }
+    // Steady state: every AddUpdate inside a block is a few stage stores
+    // plus a count bump; block leases are freelist hits. One add short of
+    // a full block per partition — no park, no chunk.
+    const uint64_t allocs = CountAllocs([&] {
+      for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
+        for (int i = 0; i < per_chunk - 1; ++i) {
+          binner.AddUpdate(p, parts.Base(p), 2.0f);
+        }
+      }
+    });
+    EXPECT_EQ(allocs, 0u) << "wire=" << wire;
+    EXPECT_FALSE(binner.HasPending());
+  }
 }
 
 TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
-  RecordArena arena;
-  RecordBinner binner(&parts, /*record_wire_bytes=*/16, /*chunk_bytes=*/1 << 10, &arena,
-                      RecordBinner::Format::kEdgeSoA);
   const Edge e{1, 2, 1.0f, 0};
-  for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-    for (int i = 0; i < 64; ++i) {
-      binner.Add(p, e);
-    }
-  }
-  while (binner.HasPending()) {
-    binner.PopPendingForTest();
-  }
-  const uint64_t allocs = CountAllocs([&] {
+  for (const uint64_t wire : kBinnerWireBytes) {
+    RecordArena arena;
+    RecordBinner binner(&parts, wire, /*chunk_bytes=*/1 << 10, &arena,
+                        RecordBinner::Format::kEdgeSoA);
+    const auto per_chunk = static_cast<int>(RecordBinner::RecordsPerChunk(1 << 10, wire));
     for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-      for (int i = 0; i < 63; ++i) {
+      for (int i = 0; i < per_chunk; ++i) {
         binner.Add(p, e);
       }
     }
-  });
-  EXPECT_EQ(allocs, 0u);
+    while (binner.HasPending()) {
+      binner.PopPendingForTest();
+    }
+    const uint64_t allocs = CountAllocs([&] {
+      for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
+        for (int i = 0; i < per_chunk - 1; ++i) {
+          binner.Add(p, e);
+        }
+      }
+    });
+    EXPECT_EQ(allocs, 0u) << "wire=" << wire;
+  }
 }
 
 // One warmed gather/apply update cycle, end to end: staged SoA AddUpdates
