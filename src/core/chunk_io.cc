@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/update_chunk_view.h"
-
 namespace chaos {
 namespace {
 
@@ -233,18 +231,18 @@ ChunkWriter::ChunkWriter(EngineContext* ctx, Rng* rng, int window)
     : ctx_(ctx), rng_(rng), window_(ctx->sim, window), group_(ctx->sim) {}
 
 uint64_t ChunkWriter::CombinedUpdateWire(const Chunk& chunk) const {
+  // The binner counted the dst varints while it staged them
+  // (RecordBinner::EnableWireSizing); a chunk without that count has no
+  // combined size.
+  CHAOS_CHECK_MSG(chunk.dst_varint_bytes != Chunk::kUnsized,
+                  "combined update send of a chunk its binner did not size");
   // Per-record wire width is a chunk invariant (model_bytes = count *
   // UpdateWireBytes); the value column is what rides beyond the id.
   const uint64_t record_wire = chunk.model_bytes / chunk.count;
   CHAOS_DCHECK(record_wire * chunk.count == chunk.model_bytes);
   CHAOS_DCHECK(record_wire > vid_wire_);
-  const uint64_t value_bytes = record_wire - vid_wire_;
-  const VertexId* dst = UpdateChunkView(chunk, value_bytes).dst();
-  UpdateWireSizer sizer;
-  for (uint32_t i = 0; i < chunk.count; ++i) {
-    sizer.Add(dst[i]);
-  }
-  return sizer.PackedWireBytes(record_wire, value_bytes);
+  return UpdateWireCodec::WireBytes(chunk.count, chunk.dst_varint_bytes, record_wire,
+                                    record_wire - vid_wire_);
 }
 
 Task<> ChunkWriter::WriteToEngine(SetId set, Chunk chunk, MachineId target) {

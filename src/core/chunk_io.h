@@ -163,7 +163,8 @@ class ChunkWriter {
   // Enables columnar wire combining (config wire_combine) for outbound
   // update-set chunks: kUpdatesEven/kUpdatesOdd writes charge the NIC the
   // combined frame size (net/network.h, UpdateWireCodec) instead of the
-  // verbatim batch. Pure re-encoding of the transfer — model_bytes, the
+  // verbatim batch, from the dst varint count their binner carried on the
+  // chunk (RecordBinner::EnableWireSizing). Pure re-encoding of the transfer — model_bytes, the
   // pool lease and the stored chunk are untouched, so storage-side
   // accounting and every downstream read are identical. `metrics` may be
   // null (tests); the saved bytes accrue there otherwise.

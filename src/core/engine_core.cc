@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
 
 #include "core/gather_phase.h"
 #include "core/scatter_phase.h"
@@ -142,11 +141,11 @@ Task<> EngineCore::Preprocess() {
     RecordBinner edge_binner(parts_, meta_.edge_wire_bytes, ctx_.config->chunk_bytes,
                              ctx_.arena, RecordBinner::Format::kEdgeSoA);
     ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
-    std::unordered_map<VertexId, uint32_t> degree_counts;
+    const bool count_degrees = kernel_->needs_out_degrees();
+    PartitionedCounts degree_counts(parts_);  // out-degrees of the sources read here
     ChunkFetcher fetcher(&ctx_, &rng_, SetId{0, SetKind::kInput}, kInputEpoch,
                          ctx_.config->fetch_window(), LocalMasterTarget(ctx_.machine));
     fetcher.Start();
-    const bool count_degrees = kernel_->needs_out_degrees();
     while (true) {
       if (Dead()) {
         co_await fetcher.Cancel();
@@ -160,9 +159,10 @@ Task<> EngineCore::Preprocess() {
       co_await ctx_.sim->Delay(ctx_.CpuTime(edges.size(), cost.ns_per_edge_scatter) +
                                ctx_.MessageTime());
       for (const Edge& e : edges) {
-        edge_binner.Add(parts_->PartitionOf(e.src), e);
+        const PartitionId p = parts_->PartitionOf(e.src);
+        edge_binner.Add(p, e);
         if (count_degrees && e.flags == kEdgeForward) {
-          degree_counts[e.src]++;
+          degree_counts.Increment(p, e.src);
         }
       }
       ++metrics_->chunks_fetched;
@@ -173,9 +173,11 @@ Task<> EngineCore::Preprocess() {
       RecordBinner degree_binner(parts_, meta_.vertex_id_wire_bytes + 4,
                                  ctx_.config->chunk_bytes, ctx_.arena,
                                  RecordBinner::Format::kUpdateSoA, sizeof(uint32_t));
-      for (const auto& [vertex, count] : degree_counts) {
-        degree_binner.AddUpdate(parts_->PartitionOf(vertex), vertex, count);
-      }
+      // Partition-major in ascending vertex id, so which degree records
+      // share a chunk is fixed by the code alone.
+      degree_counts.ForEachNonZero([&](PartitionId p, VertexId v, uint32_t count) {
+        degree_binner.AddUpdate(p, v, count);
+      });
       co_await degree_binner.FlushAll(&writer, SetKind::kDegrees);
     }
     co_await writer.Drain();

@@ -2,15 +2,26 @@
 
 namespace chaos {
 
-Partitioning::Partitioning(uint64_t num_vertices, int machines, uint32_t num_partitions)
-    : num_vertices_(num_vertices), machines_(machines), num_partitions_(num_partitions) {
+namespace {
+
+uint64_t VertsPerPartition(uint64_t num_vertices, int machines, uint32_t num_partitions) {
   CHAOS_CHECK_GT(num_vertices, 0u);
   CHAOS_CHECK_GT(machines, 0);
   CHAOS_CHECK_GT(num_partitions, 0u);
   CHAOS_CHECK_EQ(num_partitions % static_cast<uint32_t>(machines), 0u);
-  verts_per_partition_ = (num_vertices + num_partitions - 1) / num_partitions;
-  CHAOS_CHECK_GT(verts_per_partition_, 0u);
+  const uint64_t verts = (num_vertices + num_partitions - 1) / num_partitions;
+  CHAOS_CHECK_GT(verts, 0u);
+  return verts;
 }
+
+}  // namespace
+
+Partitioning::Partitioning(uint64_t num_vertices, int machines, uint32_t num_partitions)
+    : num_vertices_(num_vertices),
+      machines_(machines),
+      num_partitions_(num_partitions),
+      verts_per_partition_(VertsPerPartition(num_vertices, machines, num_partitions)),
+      per_partition_(verts_per_partition_) {}
 
 Partitioning Partitioning::Compute(uint64_t num_vertices, int machines,
                                    uint64_t bytes_per_vertex, uint64_t memory_budget_bytes) {

@@ -8,12 +8,52 @@
 #ifndef CHAOS_CORE_PARTITION_H_
 #define CHAOS_CORE_PARTITION_H_
 
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "graph/types.h"
 #include "util/common.h"
 
 namespace chaos {
+
+// Exact unsigned 64-bit division by a run-time constant d >= 1 through a
+// precomputed reciprocal (Granlund & Montgomery, "Division by invariant
+// integers using multiplication", PLDI 1994, Fig. 4.1): a multiply-high,
+// a subtract, an add and two shifts instead of a 64-bit divq. Exact for
+// every 64-bit numerator. With l = ceil(log2 d) the multiplier is
+// floor(2^64 (2^l - d) / d) + 1, which fits 64 bits. For d = 2^l (d = 1
+// included) that multiplier is 1 and contributes nothing, so powers of two
+// store 0 instead and divide with one shift; the branch is on a constant
+// and always predicted.
+class Reciprocal64 {
+ public:
+  explicit Reciprocal64(uint64_t d) {
+    CHAOS_CHECK_GT(d, 0u);
+    const auto l = static_cast<uint32_t>(std::bit_width(d - 1));
+    if (std::has_single_bit(d)) {
+      multiplier_ = 0;
+      shift_ = l;
+      return;
+    }
+    const unsigned __int128 excess = (static_cast<unsigned __int128>(1) << l) - d;
+    multiplier_ = static_cast<uint64_t>((excess << 64) / d) + 1;
+    shift_ = l - 1;  // l >= 2 here
+  }
+
+  uint64_t Divide(uint64_t n) const {
+    if (multiplier_ == 0) {
+      return n >> shift_;
+    }
+    const auto t =
+        static_cast<uint64_t>((static_cast<unsigned __int128>(multiplier_) * n) >> 64);
+    return (t + ((n - t) >> 1)) >> shift_;
+  }
+
+ private:
+  uint64_t multiplier_;
+  uint32_t shift_;
+};
 
 class Partitioning {
  public:
@@ -26,9 +66,12 @@ class Partitioning {
   static Partitioning WithPartitions(uint64_t num_vertices, int machines,
                                      uint32_t num_partitions);
 
+  // Called for every emitted update, so the divide by verts_per_partition
+  // goes through its precomputed reciprocal. The range check stays on in
+  // every build: it is one well-predicted compare.
   PartitionId PartitionOf(VertexId v) const {
     CHAOS_CHECK_LT(v, num_vertices_);
-    return static_cast<PartitionId>(v / verts_per_partition_);
+    return static_cast<PartitionId>(per_partition_.Divide(v));
   }
 
   VertexId Base(PartitionId p) const {
@@ -72,6 +115,44 @@ class Partitioning {
   int machines_;
   uint32_t num_partitions_;
   uint64_t verts_per_partition_;
+  Reciprocal64 per_partition_;
+};
+
+// Dense per-vertex counts (pre-processing's out-degrees): one array per
+// partition, Count(p) long, allocated when the partition's first vertex
+// is counted, so a machine pays only for the partitions it touches.
+class PartitionedCounts {
+ public:
+  explicit PartitionedCounts(const Partitioning* parts)
+      : parts_(parts), counts_(parts->num_partitions()) {}
+
+  // `p` is PartitionOf(v), which the caller already holds.
+  void Increment(PartitionId p, VertexId v) {
+    std::vector<uint32_t>& counts = counts_[p];
+    if (counts.empty()) {
+      counts.assign(parts_->Count(p), 0);
+    }
+    ++counts[v - parts_->Base(p)];
+  }
+
+  // Calls f(p, v, count) for every nonzero count, partition-major in
+  // ascending vertex id.
+  template <typename F>
+  void ForEachNonZero(F&& f) const {
+    for (PartitionId p = 0; p < counts_.size(); ++p) {
+      const VertexId base = parts_->Base(p);
+      const std::vector<uint32_t>& counts = counts_[p];
+      for (uint64_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] != 0) {
+          f(p, base + i, counts[i]);
+        }
+      }
+    }
+  }
+
+ private:
+  const Partitioning* parts_;
+  std::vector<std::vector<uint32_t>> counts_;
 };
 
 }  // namespace chaos

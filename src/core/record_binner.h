@@ -24,6 +24,13 @@
 // part-filled blocks; only those tail chunks pay a compaction copy,
 // because column offsets depend on the record count.
 //
+// Wire sizing (EnableWireSizing, for update sets sent combined): each
+// flush also feeds the stage's dst ids, still in L1, to the fill block's
+// UpdateWireSizer (net/network.h), and the parked chunk carries the count
+// as Chunk::dst_varint_bytes. The count restarts at prev = 0 for every
+// block, so it equals UpdateWireSizer over the parked dst column, and the
+// combined send never re-reads that column from memory.
+//
 // Park timing: the stage limit is min(16, records left in the fill block),
 // so a stage never straddles a block and a chunk parks on exactly the Add
 // that fills it. Which FlushPending writes a chunk — and so simulated
@@ -60,6 +67,7 @@
 #include "core/partition.h"
 #include "core/record_arena.h"
 #include "graph/types.h"
+#include "net/network.h"
 #include "storage/chunk.h"
 #include "util/common.h"
 
@@ -146,6 +154,13 @@ class RecordBinner {
     Staged(p, s + 1);
   }
 
+  // Update binners whose chunks are sent with wire combining on: parked
+  // chunks carry their dst varint byte count (see the file comment).
+  void EnableWireSizing() {
+    CHAOS_CHECK(format_ == Format::kUpdateSoA);
+    size_wire_ = true;
+  }
+
   bool HasPending() const { return pending_head_ < pending_.size(); }
 
   // Records accepted so far: everything parked plus the partial fills and
@@ -228,6 +243,7 @@ class RecordBinner {
   struct Bin {
     RecordArena::Block block;  // the fill block; leased by the first flush
     uint64_t filled = 0;       // records flushed into the block
+    UpdateWireSizer wire;      // the block's dst ids, when sizing the wire
   };
 
   uint8_t FirstLimit() const {
@@ -256,6 +272,16 @@ class RecordBinner {
       bin.block = arena_->Lease(records_per_chunk_ * columns_.stride());
     }
     const uint32_t n = stage_count_[p];
+    if (size_wire_) {
+      // A local copy keeps the sizer in registers: the dst loads could
+      // otherwise alias its fields.
+      const auto* dst = reinterpret_cast<const VertexId*>(stage_slot_[p]);
+      UpdateWireSizer wire = bin.wire;
+      for (uint32_t i = 0; i < n; ++i) {
+        wire.Add(dst[i]);
+      }
+      bin.wire = wire;
+    }
     uint64_t offset = 0;
     for (uint32_t c = 0; c < columns_.count; offset += columns_.width[c++]) {
       const uint8_t* const from = stage_slot_[p] + kStage * offset;
@@ -314,6 +340,9 @@ class RecordBinner {
     chunk.payload_bytes = count * columns_.stride();
     chunk.layout =
         format_ == Format::kEdgeSoA ? ChunkLayout::kEdgeSoA : ChunkLayout::kUpdateSoA;
+    if (size_wire_) {
+      chunk.dst_varint_bytes = bin.wire.varint_bytes();
+    }
     if (count == records_per_chunk_) {
       // Full block: the in-place fill already is the payload; the next
       // flush leases a fresh block.
@@ -343,6 +372,7 @@ class RecordBinner {
   // True when every flush is a full stage of streaming stores (SSE2
   // present and records_per_chunk_ a kStage multiple).
   bool stream_;
+  bool size_wire_ = false;
   RecordArena* arena_ = nullptr;
   std::unique_ptr<RecordArena> own_arena_;
   std::vector<Bin> bins_;

@@ -11,6 +11,7 @@
 #define CHAOS_NET_NETWORK_H_
 
 #include <any>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
@@ -51,12 +52,16 @@ struct NetworkConfig {
 // downstream — arithmetic order included — can observe the wire format.
 // The sender keeps the legacy verbatim frame when packing would not help
 // (pathological id sequences), so the combined wire size never exceeds the
-// uncombined one; PackedWireBytes() folds that min in.
+// uncombined one; WireBytes() folds that min in.
 //
 // The simulator's hot path only needs the frame SIZE to charge the NIC
-// (payloads are not actually serialized in the DES); UpdateWireSizer
-// computes it incrementally with no allocation. Encode()/Decode() realize
-// the byte format for the exactness tests and any host-side use.
+// (payloads are not actually serialized in the DES). UpdateWireSizer
+// computes it incrementally with no allocation. The binner runs it over
+// each stage of dst ids as it flushes them, while they are still in L1
+// (core/record_binner.h): a parked update chunk carries its varint byte
+// count, and the send charges WireBytes() of it in O(1). Encode() and
+// Decode() realize the byte format for the exactness tests and any
+// host-side use.
 class UpdateWireCodec {
  public:
   static uint64_t ZigZag(int64_t v) {
@@ -65,27 +70,28 @@ class UpdateWireCodec {
   static int64_t UnZigZag(uint64_t v) {
     return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
   }
+  // ceil(w / 7) bytes for a w-bit value, at least one. 9 * w / 64 tracks
+  // w / 7 closely enough that (9 * w + 64) / 64 is exact for every w in
+  // 1..64. In terms of the top set bit t = w - 1 that is (9 * t + 73) / 64;
+  // v | 1 maps 0 to t = 0, and 63 ^ countl_zero of a nonzero value is a
+  // single bsr on x86-64, with no zero branch.
   static uint32_t VarintLen(uint64_t v) {
-    uint32_t len = 1;
-    while (v >= 0x80) {
-      v >>= 7;
-      ++len;
-    }
-    return len;
+    const auto top_bit = 63 ^ static_cast<uint32_t>(std::countl_zero(v | 1));
+    return (top_bit * 9 + 73) / 64;
   }
 
   // Packed frame: flag byte + dst varints + n * value_bytes raw values.
   static uint64_t PackedFrameBytes(const uint64_t* dst, uint32_t n,
                                    uint64_t value_bytes);
 
-  // Modeled wire bytes for a combined send of n records whose verbatim
-  // (uncombined) record width is record_wire_bytes: the packed frame when
-  // it wins, the verbatim frame otherwise.
-  static uint64_t PackedWireBytes(const uint64_t* dst, uint32_t n,
-                                  uint64_t record_wire_bytes,
-                                  uint64_t value_bytes) {
+  // Modeled wire bytes for a combined send of n records whose dst ids take
+  // varint_bytes as zigzag-delta varints and whose verbatim (uncombined)
+  // record width is record_wire_bytes: the packed frame when it wins, the
+  // verbatim frame otherwise.
+  static uint64_t WireBytes(uint64_t n, uint64_t varint_bytes, uint64_t record_wire_bytes,
+                            uint64_t value_bytes) {
     const uint64_t verbatim = n * record_wire_bytes;
-    const uint64_t packed = PackedFrameBytes(dst, n, value_bytes);
+    const uint64_t packed = 1 + varint_bytes + n * value_bytes;
     return packed < verbatim ? packed : verbatim;
   }
 
@@ -110,13 +116,9 @@ class UpdateWireSizer {
     ++count_;
   }
   uint64_t count() const { return count_; }
+  uint64_t varint_bytes() const { return varint_bytes_; }
   uint64_t PackedFrameBytes(uint64_t value_bytes) const {
     return 1 + varint_bytes_ + count_ * value_bytes;
-  }
-  uint64_t PackedWireBytes(uint64_t record_wire_bytes, uint64_t value_bytes) const {
-    const uint64_t verbatim = count_ * record_wire_bytes;
-    const uint64_t packed = PackedFrameBytes(value_bytes);
-    return packed < verbatim ? packed : verbatim;
   }
 
  private:

@@ -103,6 +103,9 @@ enum class ChunkLayout : uint8_t {
 };
 
 struct Chunk {
+  // dst_varint_bytes of a chunk no binner sized.
+  static constexpr uint64_t kUnsized = ~uint64_t{0};
+
   // Unique within its set. 64-bit: paper-scale runs with miniaturized
   // chunk_bytes push sequential-set chunk counts past what 32 bits can
   // index without silent wraparound (tests/core_test.cc pins this).
@@ -112,6 +115,10 @@ struct Chunk {
   uint64_t payload_bytes = 0;  // in-memory byte length of the payload array
   uint64_t spill_id = 0;       // engine-assigned unique id for file spilling
   ChunkLayout layout = ChunkLayout::kAoS;
+  // Update chunks binned for a combined send (config wire_combine): the
+  // dst column's size as zigzag-delta varints (net/network.h,
+  // UpdateWireSizer), counted by the binner while the ids were in cache.
+  uint64_t dst_varint_bytes = kUnsized;
   std::shared_ptr<const void> data;  // payload array (layout above)
 };
 

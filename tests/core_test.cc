@@ -85,6 +85,103 @@ TEST(PartitioningTest, TrailingPartitionsPastTheRangeAreEmpty) {
   EXPECT_EQ(parts.PartitionOf(4095), 110u);  // no vertex maps to an empty one
 }
 
+// The reciprocal divide must equal n / d for every 64-bit n and d >= 1.
+// d = 1 and powers of two are where a naive ~0 / d + 1 multiplier breaks;
+// 2^k +- 1 and divisors above 2^63 stress the rounding and the 65-bit
+// intermediate.
+TEST(PartitioningTest, ReciprocalDivideIsExactAtTheEdges) {
+  std::vector<uint64_t> divisors = {1, 3, 5, 7, 10, 37, 1000, ~0ull, ~0ull - 1, ~0ull / 3};
+  for (uint32_t k = 1; k < 64; ++k) {
+    divisors.push_back(1ull << k);
+    divisors.push_back((1ull << k) - 1);
+    divisors.push_back((1ull << k) + 1);
+  }
+  for (const uint64_t d : {(1ull << 63) - 2, (1ull << 63) + 2, (1ull << 63) + (1ull << 62)}) {
+    divisors.push_back(d);
+  }
+  for (const uint64_t d : divisors) {
+    const Reciprocal64 r(d);
+    std::vector<uint64_t> numerators = {0, 1, d - 1, d, d + 1, 2 * d, ~0ull / d * d,
+                                        ~0ull / d * d - 1, ~0ull, ~0ull - 1};
+    for (const uint64_t n : {(1ull << 63) - 1, 1ull << 63, (1ull << 63) + 1}) {
+      numerators.push_back(n);
+    }
+    for (uint32_t k = 0; k < 64; ++k) {
+      numerators.push_back(1ull << k);
+      numerators.push_back((1ull << k) - 1);
+    }
+    for (const uint64_t n : numerators) {
+      ASSERT_EQ(r.Divide(n), n / d) << n << " / " << d;
+    }
+  }
+}
+
+TEST(PartitioningTest, ReciprocalDivideMatchesOnRandomPairs) {
+  Rng rng(0x5eed);
+  for (int i = 0; i < 1000000; ++i) {
+    // Random bit widths, so small and huge divisors and numerators are all
+    // common rather than almost every draw being near 2^64.
+    const uint64_t d = std::max<uint64_t>(1, rng.Next() >> rng.Below(64));
+    const uint64_t n = rng.Next() >> rng.Below(64);
+    ASSERT_EQ(Reciprocal64(d).Divide(n), n / d) << n << " / " << d;
+  }
+}
+
+// PartitionOf against the plain divide: one vertex per partition, power-of-
+// two and 2^k +- 1 ranges, and vertex counts past 32 bits, through the last
+// vertex.
+TEST(PartitioningTest, PartitionOfMatchesDivision) {
+  const uint64_t big = (1ull << 40) + 12345;
+  // (num_vertices, machines, partitions): d = 1, 64, 2^33, 2^20 + 1,
+  // 2^20 - 1, ceil(big / 12), 2^63 - 1 and 2^64 - 8.
+  const std::tuple<uint64_t, int, uint32_t> shapes[] = {
+      {64, 4, 64},
+      {1024, 4, 16},
+      {(1ull << 33) * 4, 2, 4},
+      {((1ull << 20) + 1) * 6, 2, 6},
+      {((1ull << 20) - 1) * 6, 2, 6},
+      {big, 4, 12},
+      {~0ull >> 1, 1, 1},
+      {~0ull - 7, 1, 1},
+  };
+  Rng rng(0xd1);
+  for (const auto& [n, machines, partitions] : shapes) {
+    const auto parts = Partitioning::WithPartitions(n, machines, partitions);
+    const uint64_t d = parts.verts_per_partition();
+    std::vector<VertexId> probes = {0, n - 1, n / 2, d - 1, std::min(d, n - 1)};
+    for (int i = 0; i < 10000; ++i) {
+      probes.push_back(rng.Below(n));
+    }
+    for (const VertexId v : probes) {
+      ASSERT_EQ(parts.PartitionOf(v), v / d) << "v=" << v << " n=" << n;
+    }
+  }
+}
+
+// The range check is a CHAOS_CHECK, not a CHAOS_DCHECK: it aborts in
+// release (NDEBUG) builds too.
+TEST(PartitioningTest, PartitionOfOutOfRangeAbortsInEveryBuild) {
+  const auto parts = Partitioning::WithPartitions(1000, 2, 4);
+  EXPECT_DEATH(parts.PartitionOf(1000), "num_vertices_");
+  EXPECT_DEATH(parts.PartitionOf(~0ull), "num_vertices_");
+}
+
+// Pre-processing's degree counts come out partition-major in ascending
+// vertex id, whatever the order the sources were counted in.
+TEST(PartitionedCountsTest, VisitsPartitionMajorAscending) {
+  const auto parts = Partitioning::WithPartitions(100, 2, 4);  // 25 per partition
+  PartitionedCounts counts(&parts);
+  const VertexId order[] = {99, 3, 50, 3, 26, 99, 99, 0, 74, 51};
+  for (const VertexId v : order) {
+    counts.Increment(parts.PartitionOf(v), v);
+  }
+  std::vector<std::tuple<PartitionId, VertexId, uint32_t>> seen;
+  counts.ForEachNonZero([&](PartitionId p, VertexId v, uint32_t c) { seen.emplace_back(p, v, c); });
+  const std::vector<std::tuple<PartitionId, VertexId, uint32_t>> expect = {
+      {0, 0, 1}, {0, 3, 2}, {1, 26, 1}, {2, 50, 1}, {2, 51, 1}, {2, 74, 1}, {3, 99, 3}};
+  EXPECT_EQ(seen, expect);
+}
+
 // ---------------------------------------------------------- batching math
 
 TEST(BatchingTheoryTest, UtilizationFormula) {
@@ -178,6 +275,9 @@ TEST_P(RecordBinnerGeometryTest, ParksInOrderOnTheFillingAdd) {
   const uint64_t wire = edges ? 16 : 12;
   RecordBinner binner(&parts, wire, per_chunk * wire, /*arena=*/nullptr, format,
                       edges ? 0 : sizeof(uint64_t));
+  if (!edges) {
+    binner.EnableWireSizing();
+  }
   // Updates are kept as Edge{value, dst}, so one comparison serves both.
   std::vector<Edge> input[kParts];
   std::vector<Edge> parked[kParts];
@@ -189,12 +289,18 @@ TEST_P(RecordBinnerGeometryTest, ParksInOrderOnTheFillingAdd) {
       for (uint32_t i = 0; i < view.size(); ++i) {
         out.push_back(view.At(i));
       }
+      EXPECT_EQ(c.dst_varint_bytes, Chunk::kUnsized);
     } else {
       const UpdateChunkView view(c, sizeof(uint64_t));
+      UpdateWireSizer sizer;
       for (uint32_t i = 0; i < view.size(); ++i) {
         const auto r = view.At<uint64_t>(i);
         out.push_back(Edge{r.value, r.dst, 0.0f, 0});
+        sizer.Add(r.dst);
       }
+      // The count the binner carried is the sizer's over the parked dst
+      // column, full blocks and tails alike.
+      EXPECT_EQ(c.dst_varint_bytes, sizer.varint_bytes());
     }
     return out;
   };
@@ -506,6 +612,39 @@ InputGraph TestGraph(uint64_t seed = 7) {
   opt.edges_per_vertex = 16;
   opt.seed = seed;
   return GenerateRmat(opt);
+}
+
+// Degree chunks of 64 bytes hold 8 records (4-byte id + 4-byte count),
+// far fewer than one machine's share of a partition's sources, so degree
+// records span several chunks per partition and machine; the degrees
+// PageRank initializes from must still be the reference out-degrees. The
+// bidirected input adds reverse records, which must not count.
+TEST(ClusterPageRankTest, InitialDegreesMatchReferenceAcrossDegreeChunks) {
+  const InputGraph g = MakeBidirected(TestGraph());
+  const std::vector<uint32_t> expect = OutDegrees(g);
+  for (const int machines : {1, 4}) {
+    ClusterConfig cfg = SmallConfig(machines);
+    cfg.chunk_bytes = 64;
+    Cluster<PageRankProgram> cluster(cfg, PageRankProgram(1));
+    const auto result = cluster.Run(g);
+    ASSERT_FALSE(result.crashed);
+    // Pigeonhole: more distinct sources in a partition than its machines
+    // hold in one degree chunk each means some machine fills several.
+    const Partitioning& parts = cluster.partitioning();
+    for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
+      uint64_t sources = 0;
+      for (uint64_t i = 0; i < parts.Count(p); ++i) {
+        sources += expect[parts.Base(p) + i] != 0;
+      }
+      EXPECT_GT(sources, static_cast<uint64_t>(machines) * 8) << "partition " << p;
+    }
+    std::vector<PageRankProgram::VertexState> states;
+    cluster.HostReadStates(SetKind::kVertices, &states);
+    ASSERT_EQ(states.size(), expect.size());
+    for (VertexId v = 0; v < expect.size(); ++v) {
+      ASSERT_EQ(states[v].degree, expect[v]) << "vertex " << v << ", " << machines << " machines";
+    }
+  }
 }
 
 TEST(ClusterPageRankTest, MatchesReferenceOnOneMachine) {

@@ -168,35 +168,41 @@ TEST(HotPathAllocTest, InterleavedPushPopAllocFree) {
 // not a multiple of 16, so every block ends in a shorter stage).
 constexpr uint64_t kBinnerWireBytes[] = {16, 12};
 
+// Each geometry with and without wire sizing (update sets sent combined).
 TEST(HotPathAllocTest, BinnerAddWithinBlockAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
   for (const uint64_t wire : kBinnerWireBytes) {
-    RecordArena arena;
-    RecordBinner binner(&parts, wire, /*chunk_bytes=*/1 << 10, &arena,
-                        RecordBinner::Format::kUpdateSoA, sizeof(float));
-    const auto per_chunk = static_cast<int>(RecordBinner::RecordsPerChunk(1 << 10, wire));
-    // Warm: fill and park a chunk per partition, then drop the parked
-    // chunks so their blocks return to the arena freelist.
-    for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-      for (int i = 0; i < per_chunk; ++i) {
-        binner.AddUpdate(p, parts.Base(p), 1.0f);
+    for (const bool size_wire : {false, true}) {
+      RecordArena arena;
+      RecordBinner binner(&parts, wire, /*chunk_bytes=*/1 << 10, &arena,
+                          RecordBinner::Format::kUpdateSoA, sizeof(float));
+      if (size_wire) {
+        binner.EnableWireSizing();
       }
-    }
-    while (binner.HasPending()) {
-      binner.PopPendingForTest();
-    }
-    // Steady state: every AddUpdate inside a block is a few stage stores
-    // plus a count bump; block leases are freelist hits. One add short of
-    // a full block per partition — no park, no chunk.
-    const uint64_t allocs = CountAllocs([&] {
+      const auto per_chunk = static_cast<int>(RecordBinner::RecordsPerChunk(1 << 10, wire));
+      // Warm: fill and park a chunk per partition, then drop the parked
+      // chunks so their blocks return to the arena freelist.
       for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-        for (int i = 0; i < per_chunk - 1; ++i) {
-          binner.AddUpdate(p, parts.Base(p), 2.0f);
+        for (int i = 0; i < per_chunk; ++i) {
+          binner.AddUpdate(p, parts.Base(p), 1.0f);
         }
       }
-    });
-    EXPECT_EQ(allocs, 0u) << "wire=" << wire;
-    EXPECT_FALSE(binner.HasPending());
+      while (binner.HasPending()) {
+        binner.PopPendingForTest();
+      }
+      // Steady state: every AddUpdate inside a block is a few stage stores
+      // plus a count bump; block leases are freelist hits. One add short of
+      // a full block per partition — no park, no chunk.
+      const uint64_t allocs = CountAllocs([&] {
+        for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
+          for (int i = 0; i < per_chunk - 1; ++i) {
+            binner.AddUpdate(p, parts.Base(p), 2.0f);
+          }
+        }
+      });
+      EXPECT_EQ(allocs, 0u) << "wire=" << wire << " size_wire=" << size_wire;
+      EXPECT_FALSE(binner.HasPending());
+    }
   }
 }
 
@@ -228,9 +234,10 @@ TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {
 }
 
 // One warmed gather/apply update cycle, end to end: staged SoA AddUpdates
-// (the apply side's re-binning), then a full SoA scan of a parked update
-// chunk through UpdateChunkView plus the wire sizer (the gather side and
-// the combined send-size computation) — all allocation-free per record.
+// with wire sizing on (the apply side's re-binning for a combined send),
+// then a full SoA scan of a parked update chunk through UpdateChunkView
+// (the gather side) and the combined send size from its carried varint
+// count — all allocation-free per record.
 TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
   RecordArena arena;
@@ -238,6 +245,7 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   // the write-combining stage, so the staged NT-store path is exercised).
   RecordBinner binner(&parts, /*record_wire_bytes=*/12, /*chunk_bytes=*/768, &arena,
                       RecordBinner::Format::kUpdateSoA, /*update_value_bytes=*/sizeof(float));
+  binner.EnableWireSizing();
   // Warm: park one chunk per partition; keep one parked chunk to scan and
   // let the rest return their blocks to the arena freelist.
   for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
@@ -269,12 +277,11 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
     const UpdateChunkView view(scanned, sizeof(float));
     const VertexId* dst = view.dst();
     const float* value = view.values_as<float>();
-    UpdateWireSizer sizer;
     for (uint32_t i = 0; i < view.size(); ++i) {
       sink += value[i] + static_cast<float>(dst[i] & 1);
-      sizer.Add(dst[i]);
     }
-    sink += static_cast<float>(sizer.PackedWireBytes(12, sizeof(float)));
+    sink += static_cast<float>(
+        UpdateWireCodec::WireBytes(scanned.count, scanned.dst_varint_bytes, 12, sizeof(float)));
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(sink, 0.0f);

@@ -3,6 +3,7 @@
 // update wire codec behind config wire_combine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -335,10 +336,15 @@ TEST(UpdateWireCodecTest, PackedWireBytesNeverExceedsVerbatim) {
     spread.push_back(rng.Next());  // alternating huge deltas: 10-byte varints
   }
   const uint64_t n = clustered.size();
-  const uint64_t packed_clustered = UpdateWireCodec::PackedWireBytes(
-      clustered.data(), static_cast<uint32_t>(n), record_wire, value_bytes);
-  const uint64_t packed_spread = UpdateWireCodec::PackedWireBytes(
-      spread.data(), static_cast<uint32_t>(n), record_wire, value_bytes);
+  auto wire_bytes = [&](const std::vector<uint64_t>& dst) {
+    UpdateWireSizer sizer;
+    for (const uint64_t d : dst) {
+      sizer.Add(d);
+    }
+    return UpdateWireCodec::WireBytes(n, sizer.varint_bytes(), record_wire, value_bytes);
+  };
+  const uint64_t packed_clustered = wire_bytes(clustered);
+  const uint64_t packed_spread = wire_bytes(spread);
   EXPECT_LT(packed_clustered, n * record_wire);
   EXPECT_EQ(packed_spread, n * record_wire);  // verbatim fallback
 }
@@ -358,9 +364,10 @@ TEST(UpdateWireCodecTest, SizerMatchesFrameBytes) {
     EXPECT_EQ(sizer.PackedFrameBytes(vb),
               UpdateWireCodec::PackedFrameBytes(dst.data(),
                                                 static_cast<uint32_t>(dst.size()), vb));
-    EXPECT_EQ(sizer.PackedWireBytes(8 + vb, vb),
-              UpdateWireCodec::PackedWireBytes(
-                  dst.data(), static_cast<uint32_t>(dst.size()), 8 + vb, vb));
+    EXPECT_EQ(UpdateWireCodec::WireBytes(sizer.count(), sizer.varint_bytes(), 8 + vb, vb),
+              std::min(UpdateWireCodec::PackedFrameBytes(
+                           dst.data(), static_cast<uint32_t>(dst.size()), vb),
+                       dst.size() * (8 + vb)));
   }
 }
 
@@ -372,6 +379,37 @@ TEST(UpdateWireCodecTest, ZigZagVarintPrimitives) {
   EXPECT_EQ(UpdateWireCodec::VarintLen(127), 1u);
   EXPECT_EQ(UpdateWireCodec::VarintLen(128), 2u);
   EXPECT_EQ(UpdateWireCodec::VarintLen(~0ull), 10u);
+}
+
+// VarintLen's closed form against the byte-at-a-time loop it replaced and
+// against the bytes Encode() really writes, on both sides of every 7-bit
+// boundary: 2^(7k) - 1 is the widest k-byte value, 2^(7k) the narrowest
+// (k + 1)-byte one.
+TEST(UpdateWireCodecTest, VarintLenMatchesLoopAndEncodeAtEveryBoundary) {
+  auto loop_len = [](uint64_t v) {
+    uint32_t len = 1;
+    while (v >= 0x80) {
+      v >>= 7;
+      ++len;
+    }
+    return len;
+  };
+  std::vector<uint64_t> probes = {~0ull, ~0ull - 1, 1ull << 63};
+  for (uint32_t k = 0; k <= 9; ++k) {
+    const uint64_t edge = k == 0 ? 1 : 1ull << (7 * k);
+    probes.push_back(edge - 1);
+    probes.push_back(edge);
+  }
+  for (const uint64_t v : probes) {
+    EXPECT_EQ(UpdateWireCodec::VarintLen(v), loop_len(v)) << v;
+    // A one-record frame with no value column: format byte + one varint of
+    // ZigZag(dst - 0).
+    const uint64_t dst = static_cast<uint64_t>(UpdateWireCodec::UnZigZag(v));
+    const uint8_t no_values = 0;
+    std::vector<uint8_t> frame;
+    UpdateWireCodec::Encode(&dst, &no_values, 1, 0, &frame);
+    EXPECT_EQ(frame.size(), 1 + UpdateWireCodec::VarintLen(v)) << v;
+  }
 }
 
 // Regression for the 1B-edge regime: the per-link byte accumulators must be
