@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/record_binner.h"
+
 namespace chaos {
 namespace {
 
@@ -230,10 +232,17 @@ Task<std::optional<Chunk>> ChunkFetcher::Next() {
 ChunkWriter::ChunkWriter(EngineContext* ctx, Rng* rng, int window)
     : ctx_(ctx), rng_(rng), window_(ctx->sim, window), group_(ctx->sim) {}
 
+void ChunkWriter::EnableUpdateCombining(RecordBinner* binner, uint64_t vertex_id_wire_bytes,
+                                        MachineMetrics* metrics) {
+  binner->EnableWireSizing();
+  combine_updates_ = true;
+  vid_wire_ = vertex_id_wire_bytes;
+  metrics_ = metrics;
+}
+
 uint64_t ChunkWriter::CombinedUpdateWire(const Chunk& chunk) const {
-  // The binner counted the dst varints while it staged them
-  // (RecordBinner::EnableWireSizing); a chunk without that count has no
-  // combined size.
+  // The binner counted the dst varints while it staged them; a chunk
+  // without that count has no combined size.
   CHAOS_CHECK_MSG(chunk.dst_varint_bytes != Chunk::kUnsized,
                   "combined update send of a chunk its binner did not size");
   // Per-record wire width is a chunk invariant (model_bytes = count *

@@ -21,6 +21,8 @@
 
 namespace chaos {
 
+class RecordBinner;
+
 // Graph facts an engine may know without holding the graph in memory.
 struct GraphMeta {
   uint64_t num_vertices = 0;
@@ -163,16 +165,15 @@ class ChunkWriter {
   // Enables columnar wire combining (config wire_combine) for outbound
   // update-set chunks: kUpdatesEven/kUpdatesOdd writes charge the NIC the
   // combined frame size (net/network.h, UpdateWireCodec) instead of the
-  // verbatim batch, from the dst varint count their binner carried on the
-  // chunk (RecordBinner::EnableWireSizing). Pure re-encoding of the transfer — model_bytes, the
-  // pool lease and the stored chunk are untouched, so storage-side
-  // accounting and every downstream read are identical. `metrics` may be
-  // null (tests); the saved bytes accrue there otherwise.
-  void EnableUpdateCombining(uint64_t vertex_id_wire_bytes, MachineMetrics* metrics) {
-    combine_updates_ = true;
-    vid_wire_ = vertex_id_wire_bytes;
-    metrics_ = metrics;
-  }
+  // verbatim batch. The size comes from the dst varint count that
+  // `binner`, the source of those chunks, is switched here to carry on
+  // each chunk (RecordBinner::EnableWireSizing). Pure re-encoding of the
+  // transfer — model_bytes, the pool lease and the stored chunk are
+  // untouched, so storage-side accounting and every downstream read are
+  // identical. `metrics` may be null (tests); the saved bytes accrue there
+  // otherwise.
+  void EnableUpdateCombining(RecordBinner* binner, uint64_t vertex_id_wire_bytes,
+                             MachineMetrics* metrics);
 
   uint64_t chunks_written() const { return chunks_written_; }
   uint64_t bytes_written() const { return bytes_written_; }

@@ -8,6 +8,7 @@
 #ifndef CHAOS_CORE_PARTITION_H_
 #define CHAOS_CORE_PARTITION_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -20,39 +21,32 @@ namespace chaos {
 // Exact unsigned 64-bit division by a run-time constant d >= 1 through a
 // precomputed reciprocal (Granlund & Montgomery, "Division by invariant
 // integers using multiplication", PLDI 1994, Fig. 4.1): a multiply-high,
-// a subtract, an add and two shifts instead of a 64-bit divq. Exact for
-// every 64-bit numerator. With l = ceil(log2 d) the multiplier is
-// floor(2^64 (2^l - d) / d) + 1, which fits 64 bits. For d = 2^l (d = 1
-// included) that multiplier is 1 and contributes nothing, so powers of two
-// store 0 instead and divide with one shift; the branch is on a constant
-// and always predicted.
+// a subtract, an add and two shifts instead of a 64-bit divq, with no
+// branch. Exact for every 64-bit numerator. With l = ceil(log2 d) the
+// multiplier is floor(2^64 (2^l - d) / d) + 1, which fits 64 bits, and the
+// shifts are min(l, 1) and max(l - 1, 0). For d = 2^l (d = 1 included) the
+// multiplier is 1, so its high product is 0 and the shifts alone divide.
 class Reciprocal64 {
  public:
   explicit Reciprocal64(uint64_t d) {
     CHAOS_CHECK_GT(d, 0u);
     const auto l = static_cast<uint32_t>(std::bit_width(d - 1));
-    if (std::has_single_bit(d)) {
-      multiplier_ = 0;
-      shift_ = l;
-      return;
-    }
     const unsigned __int128 excess = (static_cast<unsigned __int128>(1) << l) - d;
     multiplier_ = static_cast<uint64_t>((excess << 64) / d) + 1;
-    shift_ = l - 1;  // l >= 2 here
+    shift1_ = std::min(l, 1u);
+    shift2_ = l == 0 ? 0 : l - 1;
   }
 
   uint64_t Divide(uint64_t n) const {
-    if (multiplier_ == 0) {
-      return n >> shift_;
-    }
     const auto t =
         static_cast<uint64_t>((static_cast<unsigned __int128>(multiplier_) * n) >> 64);
-    return (t + ((n - t) >> 1)) >> shift_;
+    return (t + ((n - t) >> shift1_)) >> shift2_;
   }
 
  private:
   uint64_t multiplier_;
-  uint32_t shift_;
+  uint32_t shift1_;
+  uint32_t shift2_;
 };
 
 class Partitioning {

@@ -154,8 +154,9 @@ class RecordBinner {
     Staged(p, s + 1);
   }
 
-  // Update binners whose chunks are sent with wire combining on: parked
-  // chunks carry their dst varint byte count (see the file comment).
+  // Update binners whose chunks are sent with wire combining on
+  // (ChunkWriter::EnableUpdateCombining): parked chunks carry their dst
+  // varint byte count (see the file comment).
   void EnableWireSizing() {
     CHAOS_CHECK(format_ == Format::kUpdateSoA);
     size_wire_ = true;

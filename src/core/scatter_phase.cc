@@ -9,9 +9,8 @@ ScatterPhase::ScatterPhase(EngineCore* core)
               RecordBinner::Format::kUpdateSoA, core->kernel_->update_value_bytes()),
       writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {
   if (core->ctx_.config->wire_combine) {
-    binner_.EnableWireSizing();
     writer_.EnableUpdateCombining(
-        core->kernel_->update_wire_bytes() - core->kernel_->update_value_bytes(),
+        &binner_, core->kernel_->update_wire_bytes() - core->kernel_->update_value_bytes(),
         core->metrics_);
   }
 }

@@ -24,7 +24,7 @@ uint64_t UpdateWireCodec::PackedFrameBytes(const uint64_t* dst, uint32_t n,
   for (uint32_t i = 0; i < n; ++i) {
     sizer.Add(dst[i]);
   }
-  return sizer.PackedFrameBytes(value_bytes);
+  return PackedFrameBytes(n, sizer.varint_bytes(), value_bytes);
 }
 
 namespace {

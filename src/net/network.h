@@ -56,7 +56,7 @@ struct NetworkConfig {
 //
 // The simulator's hot path only needs the frame SIZE to charge the NIC
 // (payloads are not actually serialized in the DES). UpdateWireSizer
-// computes it incrementally with no allocation. The binner runs it over
+// counts its dst varint bytes incrementally with no allocation. The binner runs it over
 // each stage of dst ids as it flushes them, while they are still in L1
 // (core/record_binner.h): a parked update chunk carries its varint byte
 // count, and the send charges WireBytes() of it in O(1). Encode() and
@@ -81,6 +81,10 @@ class UpdateWireCodec {
   }
 
   // Packed frame: flag byte + dst varints + n * value_bytes raw values.
+  static uint64_t PackedFrameBytes(uint64_t n, uint64_t varint_bytes, uint64_t value_bytes) {
+    return 1 + varint_bytes + n * value_bytes;
+  }
+  // The same, sizing the varints of an id column.
   static uint64_t PackedFrameBytes(const uint64_t* dst, uint32_t n,
                                    uint64_t value_bytes);
 
@@ -91,7 +95,7 @@ class UpdateWireCodec {
   static uint64_t WireBytes(uint64_t n, uint64_t varint_bytes, uint64_t record_wire_bytes,
                             uint64_t value_bytes) {
     const uint64_t verbatim = n * record_wire_bytes;
-    const uint64_t packed = 1 + varint_bytes + n * value_bytes;
+    const uint64_t packed = PackedFrameBytes(n, varint_bytes, value_bytes);
     return packed < verbatim ? packed : verbatim;
   }
 
@@ -104,8 +108,10 @@ class UpdateWireCodec {
                          std::vector<uint64_t>* dst, std::vector<uint8_t>* values);
 };
 
-// Incremental packed-frame sizer for the simulator's send path: feed each
-// destination id, then read the frame size. No allocation, O(1) state.
+// Incremental dst-varint sizer (the update binner runs it as it flushes):
+// feed each destination id, then read the varint byte count; the frame
+// size is UpdateWireCodec::PackedFrameBytes of it. No allocation, O(1)
+// state.
 class UpdateWireSizer {
  public:
   void Add(uint64_t dst) {
@@ -113,18 +119,12 @@ class UpdateWireSizer {
     varint_bytes_ += UpdateWireCodec::VarintLen(
         UpdateWireCodec::ZigZag(static_cast<int64_t>(dst - prev_)));
     prev_ = dst;
-    ++count_;
   }
-  uint64_t count() const { return count_; }
   uint64_t varint_bytes() const { return varint_bytes_; }
-  uint64_t PackedFrameBytes(uint64_t value_bytes) const {
-    return 1 + varint_bytes_ + count_ * value_bytes;
-  }
 
  private:
   uint64_t prev_ = 0;
   uint64_t varint_bytes_ = 0;
-  uint64_t count_ = 0;
 };
 
 // Well-known message bus services (mailboxes) per machine.
